@@ -212,7 +212,7 @@ func benchMGetKeys(b *testing.B, c *Cluster) []string {
 }
 
 // BenchmarkMGet measures a 64-key batched read: the keys group by
-// partition and each replica receives one envelope per partition group.
+// partition and each replica node receives at most one envelope.
 // Compare with BenchmarkMGetLoopedGets — the same 64 keys read as
 // independent quorum rounds — to see what the batching buys.
 func BenchmarkMGet(b *testing.B) {

@@ -18,7 +18,7 @@
 // the whole request, client network time included — the budget travels
 // to the coordinating node, which stops its replica fan-out when it
 // expires. mget and mput group keys by partition on the coordinator, so
-// a large batch costs one envelope per replica per partition instead of
+// a large batch costs at most one envelope per replica node instead of
 // one quorum round per key.
 //
 // Writes read the current causal context first, so a plain put behaves as

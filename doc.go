@@ -19,8 +19,8 @@
 //     snapshots, see internal/store). Every request takes a
 //     context.Context honored through the quorum fan-out, per-request
 //     ReadOptions/WriteOptions trade consistency for latency (One,
-//     Quorum, All), and MGet/MPut batch multi-key operations into one
-//     envelope per replica per partition (see DESIGN.md, "The request
+//     Quorum, All), and MGet/MPut batch multi-key operations into at
+//     most one envelope per replica node (see DESIGN.md, "The request
 //     path"). One-level reads ride a tiered fast path — leased local
 //     reads, a placement-stamped coordinator hot-key cache, and hedged
 //     quorum fan-out that sends one backup request only after a

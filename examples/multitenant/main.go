@@ -45,7 +45,7 @@ func main() {
 	ctx := context.Background()
 
 	// Seed every app with one batched MPut: 30 keys grouped by partition
-	// cost one envelope per replica per partition, not 30 quorum rounds.
+	// cost one envelope per replica node, not 30 quorum rounds.
 	for _, app := range []string{"blog", "shop", "bank"} {
 		entries := make([]skute.Entry, 30)
 		for i := range entries {

@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("after update: %q\n", values[0])
 
 	// Batched multi-key writes and reads group keys by partition and send
-	// one envelope per replica per partition — far cheaper than a quorum
+	// at most one envelope per replica node — far cheaper than a quorum
 	// round per key.
 	var entries []skute.Entry
 	for i := 0; i < 8; i++ {

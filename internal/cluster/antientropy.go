@@ -7,6 +7,7 @@ import (
 	"skute/internal/merkle"
 	"skute/internal/placement"
 	"skute/internal/ring"
+	"skute/internal/store"
 	"skute/internal/transport"
 )
 
@@ -110,9 +111,12 @@ func (n *Node) partitionLeaves(id ring.RingID, part int) []merkle.Leaf {
 // and the named peer for a partition both replicate. The write-hook-
 // maintained roots make the common case one RPC: if the peer's root
 // matches ours it answers Same and the round costs nothing further.
-// Otherwise the differing keys are walked and both sides converge. It
-// returns the number of keys repaired; the context bounds every
-// exchange of the round.
+// Otherwise both sides converge on the differing keys in three batched
+// steps: one multi-get pulls the peer's versions, one PutBatch merges
+// them here, and one multi-put pushes the merged sets back. It returns
+// the number of keys repaired — counted only once the push is
+// acknowledged, so a failed round reports zero with its error; the
+// context bounds every exchange of the round.
 func (n *Node) SyncPartition(ctx context.Context, id ring.RingID, part int, peer string) (int, error) {
 	info, ok := n.info(peer)
 	if !ok {
@@ -142,38 +146,48 @@ func (n *Node) SyncPartition(ctx context.Context, id ring.RingID, part int, peer
 		copy(remoteLeaves[i].Hash[:], lr.Hashes[i])
 	}
 
-	diff := merkle.DiffSorted(tree.Leaves(), remoteLeaves)
-	repaired := 0
-	for _, sk := range diff {
-		// Pull the peer's versions and merge them locally.
-		var gr getResp
-		userKey, rid := splitStorageKey(sk)
-		if rid != id {
-			continue
+	var keys []string
+	for _, sk := range merkle.DiffSorted(tree.Leaves(), remoteLeaves) {
+		if userKey, rid := splitStorageKey(sk); rid == id {
+			keys = append(keys, userKey)
 		}
-		r, err := n.tr.Call(ctx, info.Addr, transport.Envelope{
-			Kind:    kindGet,
-			Payload: encode(getReq{Ring: id, Key: userKey}),
-		})
-		if err != nil {
-			continue
-		}
-		if err := decode(r.Payload, &gr); err != nil {
-			continue
-		}
-		for _, v := range gr.Versions {
-			_, _ = n.eng.Put(sk, v)
-		}
-		// Push the merged set back so the peer converges too.
-		for _, v := range n.eng.Get(sk) {
-			_, _ = n.tr.Call(ctx, info.Addr, transport.Envelope{
-				Kind:    kindPut,
-				Payload: encode(putReq{Ring: id, Key: userKey, Version: v}),
-			})
-		}
-		repaired++
 	}
-	return repaired, nil
+	if len(keys) == 0 {
+		return 0, nil
+	}
+	resp, err = n.tr.Call(ctx, info.Addr, transport.Envelope{
+		Kind:    kindMultiGet,
+		Payload: encode(multiGetReq{Ring: id, Keys: keys}),
+	})
+	if err != nil {
+		return 0, fmt.Errorf("cluster: anti-entropy pull of %s#%d from %s: %w", id, part, peer, err)
+	}
+	var mr multiGetResp
+	if err := decode(resp.Payload, &mr); err != nil {
+		return 0, err
+	}
+	var pulled []store.Item
+	for _, item := range mr.Items {
+		for _, v := range item.Versions {
+			pulled = append(pulled, store.Item{Key: storageKey(id, item.Key), Version: v})
+		}
+	}
+	if _, err := n.eng.PutBatch(pulled); err != nil {
+		return 0, err
+	}
+	var push []putItem
+	for _, k := range keys {
+		for _, v := range n.eng.Get(storageKey(id, k)) {
+			push = append(push, putItem{Key: k, Version: v})
+		}
+	}
+	if _, err := n.tr.Call(ctx, info.Addr, transport.Envelope{
+		Kind:    kindMultiPut,
+		Payload: encode(multiPutReq{Ring: id, Items: push}),
+	}); err != nil {
+		return 0, fmt.Errorf("cluster: anti-entropy push of %s#%d to %s: %w", id, part, peer, err)
+	}
+	return len(keys), nil
 }
 
 // handoffSync drains this node's copy of a partition into every alive

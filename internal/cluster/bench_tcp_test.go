@@ -121,7 +121,7 @@ func benchTCPGet(b *testing.B, freshDial bool) {
 }
 
 // benchTCPMGet drives 64-key batched reads; the batch still fans out
-// one envelope per replica per partition group, all over the wire.
+// one envelope per replica node, all over the wire.
 func benchTCPMGet(b *testing.B, freshDial bool) {
 	_, client, id := benchTCPCluster(b, freshDial)
 	entries := make([]Entry, 64)

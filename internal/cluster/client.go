@@ -78,7 +78,7 @@ func (c *Client) Delete(ctx context.Context, id ring.RingID, key string, vctx vc
 }
 
 // MGet reads a batch of keys in one exchange; the node groups them by
-// partition and fans out one envelope per replica per partition. Missing
+// partition and sends at most one envelope per replica node. Missing
 // keys map to an empty GetResult.
 func (c *Client) MGet(ctx context.Context, id ring.RingID, keys []string, opts ReadOptions) (map[string]GetResult, error) {
 	cctx, cancel := withTimeout(ctx, opts.Timeout)
@@ -104,7 +104,7 @@ func (c *Client) MGet(ctx context.Context, id ring.RingID, keys []string, opts R
 }
 
 // MPut writes a batch of entries in one exchange; the node groups them
-// by partition and fans out one envelope per replica per partition.
+// by partition and sends one envelope per alive replica node.
 func (c *Client) MPut(ctx context.Context, id ring.RingID, entries []Entry, opts WriteOptions) error {
 	cctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()

@@ -47,7 +47,7 @@ import (
 // ADD NEW WIRE PAYLOAD TYPES TO THIS LIST. The cross-process codec
 // test re-execs the test binary to catch a forgotten registration.
 var wirePayloadPrototypes = []any{
-	getReq{}, getResp{}, putReq{}, putResp{},
+	putReq{}, putResp{},
 	heartbeatReq{},
 	leavesReq{}, leavesResp{}, kv{},
 	adoptReq{}, announceReq{}, rentsResp{},

@@ -27,8 +27,7 @@ func codecSamples() []any {
 		clientPutReq{Ring: id, Key: "user:42", Value: []byte(`{"v":1}`), Context: map[string]uint64{"n0": 2}},
 		clientGetResp{Values: [][]byte{[]byte("a"), []byte("b")}, Context: map[string]uint64{"n1": 9}},
 		heartbeatReq{From: "n0", Digest: placement.Digest{}},
-		getReq{Ring: id, Key: "k"},
-		getResp{Versions: []store.Version{ver}},
+		multiGetResp{Items: []kv{{Key: "k", Versions: []store.Version{ver}}}},
 		putReq{Ring: id, Key: "k", Version: ver},
 		multiGetReq{Ring: id, Keys: []string{"a", "b", "c"}},
 		multiPutReq{Ring: id, Items: []putItem{{Key: "a", Version: ver}}},

@@ -22,7 +22,6 @@ import (
 
 // Message kinds on the wire.
 const (
-	kindGet       = "get"
 	kindPut       = "put"
 	kindHeartbeat = "heartbeat"
 	kindLeaves    = "merkle-leaves"
@@ -44,9 +43,10 @@ const (
 	// the push missed (see internal/placement).
 	kindDelta     = "placement-delta"
 	kindDeltaPull = "placement-pull"
-	// Multi-key replica kinds: one envelope carries a whole partition
-	// key group, amortizing the per-call overhead of fan-out-heavy
-	// batches (see Node.MultiGet/MultiPut).
+	// Multi-key replica kinds: one envelope carries every key a batch
+	// needs from one replica node, whatever partitions they fall on
+	// (see Node.MultiGet/MultiPut); anti-entropy pulls and pushes ride
+	// them too.
 	kindMultiGet = "multi-get"
 	kindMultiPut = "multi-put"
 	// Client-facing kinds: the receiving node coordinates the quorum
@@ -64,13 +64,6 @@ const (
 // Wire payloads (gob encoded inside transport.Envelope.Payload via the
 // pooled codec sessions in codec.go).
 type (
-	getReq struct {
-		Ring ring.RingID
-		Key  string
-	}
-	getResp struct {
-		Versions []store.Version
-	}
 	putReq struct {
 		Ring    ring.RingID
 		Key     string
@@ -625,7 +618,7 @@ func (n *Node) SendHeartbeats(ctx context.Context) {
 // kindPriority classifies an incoming request kind for admission.
 // Membership traffic (heartbeats, joins, member gossip) is Critical:
 // shedding it under load would turn an overload into a false-suspicion
-// cascade. Replica-level data ops (kindGet/kindPut/...) are Critical
+// cascade. Replica-level data ops (kindPut/kindMultiGet/...) are Critical
 // too — the coordinator that fanned them out already paid admission at
 // the client edge, so shedding them mid-quorum would fail work the
 // cluster has committed to. Background covers anti-entropy, partition
@@ -666,7 +659,7 @@ func (n *Node) initResilience(cfg Config) {
 func kindPriority(kind string) (pri resilience.Priority, gated bool) {
 	switch kind {
 	case kindHeartbeat, kindJoin, kindMemberPull, kindMemberDelta,
-		kindGet, kindPut, kindMultiGet, kindMultiPut:
+		kindPut, kindMultiGet, kindMultiPut:
 		return resilience.Critical, true
 	case kindLeaves, kindFetchChunk, kindAdopt, kindDelta, kindDeltaPull,
 		kindAnnounce, kindRents:
@@ -774,14 +767,6 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(resp)}, nil
 
-	case kindGet:
-		var g getReq
-		if err := decode(req.Payload, &g); err != nil {
-			return transport.Envelope{}, err
-		}
-		vs := n.eng.Get(storageKey(g.Ring, g.Key))
-		return transport.Envelope{Kind: "ok", Payload: encode(getResp{Versions: vs})}, nil
-
 	case kindPut:
 		var p putReq
 		if err := decode(req.Payload, &p); err != nil {
@@ -809,10 +794,8 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		if err := decode(req.Payload, &m); err != nil {
 			return transport.Envelope{}, err
 		}
-		for _, item := range m.Items {
-			if _, err := n.eng.Put(storageKey(m.Ring, item.Key), item.Version); err != nil {
-				return transport.Envelope{}, err
-			}
+		if _, err := n.eng.PutBatch(storeItems(m.Ring, m.Items)); err != nil {
+			return transport.Envelope{}, err
 		}
 		return transport.Envelope{Kind: "ok"}, nil
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -217,12 +218,19 @@ func (n *Node) maybeSampleRepair(id ring.RingID, key string) {
 	}()
 }
 
-// MultiGet reads a batch of keys in one coordinated operation: keys are
-// grouped by partition and each replica of a partition receives a single
-// envelope covering the partition's whole key group — R+1 contacted
-// replicas per partition instead of per key. Results map each requested
-// key to its sibling values and causal context (a missing key maps to an
-// empty GetResult, matching single-key Get).
+// MultiGet reads a batch of keys in one coordinated operation. Keys are
+// grouped by partition, and each partition reads its first readQ alive
+// replicas in rankedAlive order. The chosen replicas are bucketed by
+// node: every remote replica node receives at most ONE multi-get
+// envelope covering all of its partitions' keys, and the coordinator's
+// own share is served inline. Each reply is decoded on its sub-call's
+// goroutine. Siblings merge and the read quorum is checked per
+// partition, and each stale responder gets one repair envelope covering
+// all of its partitions. A partition whose chosen peer failed, or had
+// not answered when the hedge delay fired, is re-read on its own through
+// readPartitionGroup, which brings in standby replicas. Results map each
+// requested key to its sibling values and causal context (a missing key
+// maps to an empty GetResult, matching single-key Get).
 func (n *Node) MultiGet(ctx context.Context, id ring.RingID, keys []string, opts ReadOptions) (map[string]GetResult, error) {
 	defer n.opTel.hist(opMGet, opts.Consistency).RecordSince(time.Now())
 	readQ, err := n.readQuorum(id, opts.Consistency)
@@ -243,39 +251,165 @@ func (n *Node) MultiGet(ctx context.Context, id ring.RingID, keys []string, opts
 		return map[string]GetResult{}, nil
 	}
 
-	groups := n.groupByPartition(id, keys)
-	if len(groups) == 1 { // single partition: no fan-out bookkeeping
-		g := groups[0]
-		res, _, err := n.readPartitionGroup(ctx, id, g, n.quorumForGroup(readQ, opts.Consistency, id, len(g.replicas), false))
-		return res, err
+	// batchPart is one partition of the batch: its read quorum, the
+	// replicas its first wave reads, and — once it falls back to
+	// readPartitionGroup — that read's outcome.
+	type batchPart struct {
+		g        partGroup
+		q        int
+		chosen   []string
+		spare    bool // an alive replica outside chosen exists
+		fallback bool
+		res      map[string]GetResult
+		err      error
 	}
-	results := make(map[string]GetResult, len(keys))
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g partGroup) {
-			defer wg.Done()
-			part, _, err := n.readPartitionGroup(ctx, id, g, n.quorumForGroup(readQ, opts.Consistency, id, len(g.replicas), false))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+	groups := n.groupByPartition(id, keys)
+	parts := make([]batchPart, len(groups))
+	byNode := make(map[string][]string)
+	replies := make(map[string]map[string][]store.Version)
+	var fallbacks sync.WaitGroup
+	// fallBack re-reads one partition on its own, its failed or lagging
+	// chosen replicas demoted behind the others so the standby is tried
+	// first. The goroutine it starts is the only writer of p.res and
+	// p.err, which are read after fallbacks.Wait.
+	fallBack := func(p *batchPart) {
+		p.fallback = true
+		lagging := func(name string) bool {
+			_, answered := replies[name]
+			return !answered && slices.Contains(p.chosen, name)
+		}
+		g := p.g
+		g.replicas = make([]string, 0, len(p.g.replicas))
+		for _, name := range p.g.replicas {
+			if !lagging(name) {
+				g.replicas = append(g.replicas, name)
 			}
-			for k, r := range part {
+		}
+		for _, name := range p.g.replicas {
+			if lagging(name) {
+				g.replicas = append(g.replicas, name)
+			}
+		}
+		fallbacks.Add(1)
+		go func() {
+			defer fallbacks.Done()
+			p.res, _, p.err = n.readPartitionGroup(ctx, id, g, p.q)
+		}()
+	}
+	hedgeable := false
+	for i, g := range groups {
+		p := &parts[i]
+		p.g = g
+		p.q = n.quorumForGroup(readQ, opts.Consistency, id, len(g.replicas), false)
+		alive := n.rankedAlive(g.replicas)
+		if len(alive) < p.q {
+			fallBack(p) // readPartitionGroup reports the shortfall by partition
+			continue
+		}
+		p.chosen = alive[:p.q]
+		p.spare = len(alive) > p.q
+		hedgeable = hedgeable || p.spare
+		for _, name := range p.chosen {
+			byNode[name] = append(byNode[name], g.keys...)
+		}
+	}
+
+	// Remote calls run on a child context cancelled at return, so
+	// stragglers are abandoned at the transport layer; they complete into
+	// the buffered channel and are discarded.
+	callCtx, cancelCalls := context.WithCancel(ctx)
+	defer cancelCalls()
+	resps := make(chan replicaResp, len(byNode))
+	remote := 0
+	for name, ks := range byNode {
+		if name == n.self.Name {
+			continue
+		}
+		remote++
+		env := transport.Envelope{Kind: kindMultiGet, Payload: encode(multiGetReq{Ring: id, Keys: ks})}
+		go func(name string) { resps <- n.readReplica(callCtx, name, env) }(name)
+	}
+	if ks, ok := byNode[n.self.Name]; ok {
+		replies[n.self.Name] = n.readLocal(id, ks)
+	}
+	awaiting := func() bool {
+		for i := range parts {
+			if !parts[i].fallback && missing(parts[i].chosen, replies) {
+				return true
+			}
+		}
+		return false
+	}
+	// One hedge wave per batch: when the delay fires, every partition
+	// still short of its chosen replies that has a spare replica falls
+	// back; partitions without one keep waiting for their replicas.
+	var hedgeC <-chan time.Time
+	if hedgeable && remote > 0 {
+		timer := time.NewTimer(n.hedge.delay(n.Now()))
+		defer timer.Stop()
+		hedgeC = timer.C
+	}
+	for remote > 0 && awaiting() {
+		select {
+		case r := <-resps:
+			remote--
+			if r.ok {
+				replies[r.name] = r.vs
+				n.hedge.observe(r.elapsed)
+				continue
+			}
+			for i := range parts {
+				if p := &parts[i]; !p.fallback && slices.Contains(p.chosen, r.name) {
+					fallBack(p)
+				}
+			}
+		case <-hedgeC:
+			hedgeC = nil
+			hedged := false
+			for i := range parts {
+				if p := &parts[i]; !p.fallback && p.spare && missing(p.chosen, replies) {
+					fallBack(p)
+					hedged = true
+				}
+			}
+			if hedged {
+				n.counters.ReadsHedged.Inc()
+			}
+		case <-ctx.Done():
+			fallbacks.Wait()
+			return nil, ctx.Err()
+		}
+	}
+	fallbacks.Wait()
+
+	results := make(map[string]GetResult, len(keys))
+	var repairs map[string][]putItem
+	for i := range parts {
+		p := &parts[i]
+		if p.fallback {
+			if p.err != nil {
+				return nil, p.err
+			}
+			for k, r := range p.res {
 				results[k] = r
 			}
-		}(g)
+			continue
+		}
+		n.countQueries(id, p.g.part, len(p.g.keys))
+		repairs = mergeReplies(p.g.keys, p.chosen, replies, results, nil, repairs)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	n.repair(ctx, id, repairs)
 	return results, nil
+}
+
+// missing reports whether any of the named replicas has not replied.
+func missing(names []string, replies map[string]map[string][]store.Version) bool {
+	for _, name := range names {
+		if _, ok := replies[name]; !ok {
+			return true
+		}
+	}
+	return false
 }
 
 // partGroup is the slice of a multi-key batch that falls on one
@@ -320,37 +454,20 @@ func (n *Node) groupByPartition(id ring.RingID, keys []string) []partGroup {
 	return out
 }
 
-// readPartitionGroup runs the quorum read of one partition's key group:
-// it contacts exactly readQ alive replicas first — the coordinator's own
-// copy ordered to the front, since it answers inline for free — each
-// with ONE envelope covering every key of the group, and arms a single
-// HEDGED backup request that fires only if the quorum is still short
-// after the p99-tracked hedge delay (see hedgeTracker). Failures launch
-// a standby replica immediately, and context cancellation is honored
-// while waiting. It returns as soon as readQ replicas answered: a
-// hung-but-not-yet-suspected replica cannot pin the read to the
-// transport timeout once the quorum is met — remote calls run on a
-// child context cancelled at return, so stragglers and fired hedges are
-// abandoned at the transport layer instead of running to completion.
-// Siblings merge per key; each stale responder gets one batched repair
-// envelope (sent on the caller's context, not the cancelled child). The
-// second return value is the merged sibling set per key, which One-level
-// callers feed into the coordinator cache.
-func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGroup, readQ int) (map[string]GetResult, map[string][]store.Version, error) {
-	n.countQueries(id, g.part, len(g.keys))
-
-	alive := g.replicas[:0:0]
-	for _, name := range g.replicas {
+// rankedAlive returns the alive replicas in read-contact order: the
+// local copy first (it answers inline for free), peers whose circuit
+// breaker is open last. Open-breaker peers are demoted rather than
+// skipped — a small quorum may still need them — but they serve only as
+// standbys, so a peer that is up but sick stops taxing every read and
+// stops absorbing the hedged backup. The demoted slot doubles as the
+// breaker's half-open probe path.
+func (n *Node) rankedAlive(replicas []string) []string {
+	alive := replicas[:0:0]
+	for _, name := range replicas {
 		if n.alive(name) {
 			alive = append(alive, name)
 		}
 	}
-	// Order the contact list: the local copy first (it answers inline for
-	// free), peers whose circuit breaker is open last. Open-breaker peers
-	// are demoted rather than skipped — a small quorum may still need
-	// them — but they serve only as standbys, so a peer that is up but
-	// sick stops taxing every read and stops absorbing the hedged backup.
-	// The demoted slot doubles as the breaker's half-open probe path.
 	rank := func(name string) int {
 		switch {
 		case name == n.self.Name:
@@ -362,12 +479,71 @@ func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGro
 		}
 	}
 	sort.SliceStable(alive, func(i, j int) bool { return rank(alive[i]) < rank(alive[j]) })
-	type replicaResp struct {
-		name    string
-		vs      map[string][]store.Version
-		ok      bool
-		elapsed time.Duration // remote round trip; 0 for the local copy
+	return alive
+}
+
+// replicaResp is one replica's answer to a read: its sibling set per key.
+type replicaResp struct {
+	name    string
+	vs      map[string][]store.Version
+	ok      bool
+	elapsed time.Duration // remote round trip; 0 for the local copy
+}
+
+// readLocal serves the coordinator's own copy of keys.
+func (n *Node) readLocal(id ring.RingID, keys []string) map[string][]store.Version {
+	local := make(map[string][]store.Version, len(keys))
+	for _, k := range keys {
+		local[k] = n.eng.Get(storageKey(id, k))
 	}
+	return local
+}
+
+// readReplica sends one multi-get envelope to a remote replica node and
+// decodes the reply on the calling goroutine, feeding the node's circuit
+// breaker with the outcome.
+func (n *Node) readReplica(ctx context.Context, name string, env transport.Envelope) replicaResp {
+	start := time.Now()
+	info, _ := n.info(name)
+	resp, err := n.tr.Call(ctx, info.Addr, env)
+	n.breakers.Record(name, err, time.Since(start))
+	if err != nil {
+		return replicaResp{name: name}
+	}
+	var mr multiGetResp
+	derr := decode(resp.Payload, &mr)
+	// decode copied every byte out (gob never aliases its input), so the
+	// frame's staging buffer can go back to the transport.
+	transport.RecyclePayload(resp.Payload)
+	if derr != nil {
+		return replicaResp{name: name}
+	}
+	vs := make(map[string][]store.Version, len(mr.Items))
+	for _, item := range mr.Items {
+		vs[item.Key] = item.Versions
+	}
+	return replicaResp{name: name, vs: vs, ok: true, elapsed: time.Since(start)}
+}
+
+// readPartitionGroup runs the quorum read of one partition's key group:
+// it contacts exactly readQ alive replicas first, in rankedAlive order,
+// each with ONE envelope covering every key of the group, and arms a
+// single HEDGED backup request that fires only if the quorum is still
+// short after the p99-tracked hedge delay (see hedgeTracker). Failures
+// launch a standby replica immediately, and context cancellation is
+// honored while waiting. It returns as soon as readQ replicas answered:
+// a hung-but-not-yet-suspected replica cannot pin the read to the
+// transport timeout once the quorum is met — remote calls run on a child
+// context cancelled at return, so stragglers and fired hedges are
+// abandoned at the transport layer instead of running to completion.
+// Siblings merge per key; each stale responder gets one batched repair
+// envelope (sent on the caller's context, not the cancelled child). The
+// second return value is the merged sibling set per key, which One-level
+// callers feed into the coordinator cache.
+func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGroup, readQ int) (map[string]GetResult, map[string][]store.Version, error) {
+	n.countQueries(id, g.part, len(g.keys))
+
+	alive := n.rankedAlive(g.replicas)
 	resps := make(chan replicaResp, len(alive))
 	env := transport.Envelope{Kind: kindMultiGet, Payload: encode(multiGetReq{Ring: id, Keys: g.keys})}
 	callCtx, cancelCalls := context.WithCancel(ctx)
@@ -382,37 +558,10 @@ func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGro
 		next++
 		inflight++
 		if name == n.self.Name {
-			local := make(map[string][]store.Version, len(g.keys))
-			for _, k := range g.keys {
-				local[k] = n.eng.Get(storageKey(id, k))
-			}
-			resps <- replicaResp{name: name, vs: local, ok: true}
+			resps <- replicaResp{name: name, vs: n.readLocal(id, g.keys), ok: true}
 			return
 		}
-		go func(name string) {
-			start := time.Now()
-			info, _ := n.info(name)
-			resp, err := n.tr.Call(callCtx, info.Addr, env)
-			n.breakers.Record(name, err, time.Since(start))
-			if err != nil {
-				resps <- replicaResp{name: name}
-				return
-			}
-			var mr multiGetResp
-			derr := decode(resp.Payload, &mr)
-			// decode copied every byte out (gob never aliases its input),
-			// so the frame's staging buffer can go back to the transport.
-			transport.RecyclePayload(resp.Payload)
-			if derr != nil {
-				resps <- replicaResp{name: name}
-				return
-			}
-			vs := make(map[string][]store.Version, len(mr.Items))
-			for _, item := range mr.Items {
-				vs[item.Key] = item.Versions
-			}
-			resps <- replicaResp{name: name, vs: vs, ok: true, elapsed: time.Since(start)}
-		}(name)
+		go func(name string) { resps <- n.readReplica(callCtx, name, env) }(name)
 	}
 	for next < target {
 		startNext()
@@ -467,20 +616,28 @@ func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGro
 			id, g.part, len(responders), readQ)
 	}
 
-	// Merge per key, then batch read repair: each responder that misses
-	// part of a key's merged sibling set gets ONE repair envelope
-	// covering all of its stale keys. In-sync replicas (the common case)
-	// cost nothing; engines reject dominated versions, so repair is
-	// idempotent.
 	results := make(map[string]GetResult, len(g.keys))
 	merged := make(map[string][]store.Version, len(g.keys))
-	for _, k := range g.keys {
+	n.repair(ctx, id, mergeReplies(g.keys, responders, perResp, results, merged, nil))
+	return results, merged, nil
+}
+
+// mergeReplies merges the responders' sibling sets per key into results
+// (and into merged, when it is non-nil) and adds to repairs, for each
+// responder that misses part of a key's merged set, the versions that
+// heal it. It returns repairs, allocated on first need: in-sync
+// replicas, the common case, cost nothing.
+func mergeReplies(keys, responders []string, replies map[string]map[string][]store.Version,
+	results map[string]GetResult, merged map[string][]store.Version, repairs map[string][]putItem) map[string][]putItem {
+	for _, k := range keys {
 		var gathered []store.Version
 		for _, name := range responders {
-			gathered = append(gathered, perResp[name][k]...)
+			gathered = append(gathered, replies[name][k]...)
 		}
 		m := store.MergeSiblings(gathered)
-		merged[k] = m
+		if merged != nil {
+			merged[k] = m
+		}
 		res := GetResult{Replied: len(responders), Context: vclock.New()}
 		for _, v := range m {
 			res.Context = vclock.Merge(res.Context, v.Clock)
@@ -489,30 +646,47 @@ func (n *Node) readPartitionGroup(ctx context.Context, id ring.RingID, g partGro
 			}
 		}
 		results[k] = res
+		for _, name := range responders {
+			if !needsRepair(replies[name][k], m) {
+				continue
+			}
+			if repairs == nil {
+				repairs = make(map[string][]putItem)
+			}
+			for _, v := range m {
+				repairs[name] = append(repairs[name], putItem{Key: k, Version: v})
+			}
+		}
 	}
-	for _, name := range responders {
-		var stale []putItem
-		for _, k := range g.keys {
-			if needsRepair(perResp[name][k], merged[k]) {
-				for _, v := range merged[k] {
-					stale = append(stale, putItem{Key: k, Version: v})
-				}
-			}
-		}
-		if len(stale) == 0 {
-			continue
-		}
+	return repairs
+}
+
+// repair sends each stale responder the versions it misses: one
+// multi-put envelope per remote node, covering all of its keys, and one
+// PutBatch for the coordinator's own copy. Best effort — engines reject
+// dominated versions, so repair is idempotent, and anti-entropy heals
+// whatever a lost repair leaves behind. Remote repairs ride the caller's
+// context.
+func (n *Node) repair(ctx context.Context, id ring.RingID, stale map[string][]putItem) {
+	for name, items := range stale {
 		if name == n.self.Name {
-			for _, item := range stale {
-				_, _ = n.eng.Put(storageKey(id, item.Key), item.Version)
-			}
+			_, _ = n.eng.PutBatch(storeItems(id, items))
 			continue
 		}
 		info, _ := n.info(name)
-		repair := transport.Envelope{Kind: kindMultiPut, Payload: encode(multiPutReq{Ring: id, Items: stale})}
-		_, _ = n.tr.Call(ctx, info.Addr, repair) // best effort; anti-entropy heals stragglers
+		env := transport.Envelope{Kind: kindMultiPut, Payload: encode(multiPutReq{Ring: id, Items: items})}
+		_, _ = n.tr.Call(ctx, info.Addr, env)
 	}
-	return results, merged, nil
+}
+
+// storeItems converts a ring's wire put items into engine items under
+// their storage keys.
+func storeItems(id ring.RingID, items []putItem) []store.Item {
+	out := make([]store.Item, len(items))
+	for i, it := range items {
+		out[i] = store.Item{Key: storageKey(id, it.Key), Version: it.Version}
+	}
+	return out
 }
 
 // needsRepair reports whether a responder's version set for one key
@@ -637,11 +811,15 @@ func (n *Node) cacheWriteThrough(id ring.RingID, part int, key string, v store.V
 	n.rcache.upsert(cacheKey{ring: id, part: part, key: key}, v, pver, porigin, n.Now())
 }
 
-// MultiPut writes a batch of entries in one coordinated operation: the
-// entries are grouped by partition and every replica of a partition
-// receives a single envelope with the partition's whole entry group.
-// Each partition group must reach the write quorum (or the per-request
-// override) independently; the first shortfall fails the batch.
+// MultiPut writes a batch of entries in one coordinated operation. Every
+// alive replica node receives ONE multi-put envelope carrying all of its
+// partitions' entries: the remote sends start first, then the
+// coordinator writes its own share with one PutBatch (one WAL commit),
+// then the call waits until every partition has its write quorum (or the
+// per-request override) of acknowledgements from its own replicas. The
+// first partition short of its quorum fails the batch, by name. Sends
+// still in flight when the call returns complete detached from the
+// caller's context, as in callAll.
 func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, opts WriteOptions) error {
 	defer n.opTel.hist(opMPut, opts.Consistency).RecordSince(time.Now())
 	writeQ, err := n.writeQuorum(id, opts.Consistency)
@@ -675,72 +853,90 @@ func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, op
 	}
 	groups := n.groupByPartition(id, keys)
 
-	var wg sync.WaitGroup
-	errs := make([]error, len(groups))
+	// The ack ledger: need and acks per partition, and for each replica
+	// node the partitions its one acknowledgement counts toward.
+	need := make([]int, len(groups))
+	acks := make([]int, len(groups))
+	hosts := make(map[string][]int)
+	byNode := make(map[string][]putItem)
 	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g partGroup) {
-			defer wg.Done()
-			q := n.quorumForGroup(writeQ, opts.Consistency, id, len(g.replicas), true)
-			errs[i] = n.writePartitionGroup(ctx, id, g, versions, q)
-		}(i, g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		n.countQueries(id, g.part, len(g.keys))
+		need[i] = n.quorumForGroup(writeQ, opts.Consistency, id, len(g.replicas), true)
+		for _, name := range g.replicas {
+			if !n.alive(name) {
+				continue
+			}
+			hosts[name] = append(hosts[name], i)
+			for _, k := range g.keys {
+				byNode[name] = append(byNode[name], putItem{Key: k, Version: versions[k]})
+			}
 		}
 	}
-	return nil
-}
-
-// writePartitionGroup fans one partition's entry group out: one
-// kindMultiPut envelope per alive replica, write quorum counted over
-// whole-group acknowledgements.
-func (n *Node) writePartitionGroup(ctx context.Context, id ring.RingID, g partGroup, versions map[string]store.Version, writeQ int) error {
-	n.countQueries(id, g.part, len(g.keys))
-
-	items := make([]putItem, len(g.keys))
-	for i, k := range g.keys {
-		items[i] = putItem{Key: k, Version: versions[k]}
-	}
-	acks := 0
-	var remotes []string
-	for _, name := range g.replicas {
-		if !n.alive(name) {
-			continue
+	ack := func(name string) {
+		for _, i := range hosts[name] {
+			acks[i]++
 		}
+	}
+	met := func() bool {
+		for i := range groups {
+			if acks[i] < need[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	// The sends run on a context detached from the caller's cancellation,
+	// for the reason callAll gives.
+	sendCtx, cancelSends := context.WithTimeout(context.WithoutCancel(ctx), tailSendTimeout)
+	acked := make(chan string, len(byNode)) // the acknowledging node, "" for a failed send
+	var sends sync.WaitGroup
+	for name, items := range byNode {
 		if name == n.self.Name {
-			ok := true
-			for _, item := range items {
-				if _, err := n.eng.Put(storageKey(id, item.Key), item.Version); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				acks++
-			}
 			continue
 		}
-		remotes = append(remotes, name)
+		sends.Add(1)
+		go func(name string, items []putItem) {
+			defer sends.Done()
+			info, _ := n.info(name)
+			env := transport.Envelope{Kind: kindMultiPut, Payload: encode(multiPutReq{Ring: id, Items: items})}
+			start := time.Now()
+			_, err := n.tr.Call(sendCtx, info.Addr, env)
+			n.breakers.Record(name, err, time.Since(start))
+			if err != nil {
+				name = ""
+			}
+			acked <- name
+		}(name, items)
 	}
-	if len(remotes) > 0 {
-		env := transport.Envelope{Kind: kindMultiPut, Payload: encode(multiPutReq{Ring: id, Items: items})}
-		remoteAcks, err := n.callAll(ctx, remotes, env, writeQ-acks)
-		if err != nil {
-			return err
+	remote := len(byNode)
+	go func() { sends.Wait(); cancelSends() }()
+	if items, ok := byNode[n.self.Name]; ok {
+		remote--
+		if _, err := n.eng.PutBatch(storeItems(id, items)); err == nil {
+			ack(n.self.Name)
 		}
-		acks += remoteAcks
 	}
-	if acks < writeQ {
-		if err := ctx.Err(); err != nil {
-			return err
+	for ; remote > 0 && !met(); remote-- {
+		select {
+		case name := <-acked:
+			ack(name)
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		return fmt.Errorf("cluster: write quorum not met for %s partition %d: %d/%d acks", id, g.part, acks, writeQ)
 	}
-	for _, item := range items {
-		n.cacheWriteThrough(id, g.part, item.Key, item.Version, g.replicas)
+	for i, g := range groups {
+		if acks[i] < need[i] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("cluster: write quorum not met for %s partition %d: %d/%d acks", id, g.part, acks[i], need[i])
+		}
+	}
+	for _, g := range groups {
+		for _, k := range g.keys {
+			n.cacheWriteThrough(id, g.part, k, versions[k], g.replicas)
+		}
 	}
 	return nil
 }

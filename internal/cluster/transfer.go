@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"skute/internal/ring"
+	"skute/internal/store"
 	"skute/internal/transport"
 )
 
@@ -141,12 +142,14 @@ func (n *Node) pullPartition(ctx context.Context, id ring.RingID, part int, dono
 		if err := decode(resp.Payload, &chunk); err != nil {
 			return err
 		}
+		var batch []store.Item
 		for _, item := range chunk.Items {
 			for _, v := range item.Versions {
-				if _, err := n.eng.Put(item.Key, v); err != nil {
-					return err
-				}
+				batch = append(batch, store.Item{Key: item.Key, Version: v})
 			}
+		}
+		if _, err := n.eng.PutBatch(batch); err != nil {
+			return err
 		}
 		n.counters.TransferChunks.Inc()
 		n.counters.TransferItems.Add(int64(len(chunk.Items)))

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -174,53 +172,6 @@ func TestRestoreRefusesGappedLog(t *testing.T) {
 	}
 	if _, err := Restore(walDir, snapDir); err == nil {
 		t.Fatal("Restore booted from a truncated WAL with no snapshot")
-	}
-}
-
-// TestLegacySingleFileWALUpgrade: an engine whose WAL was written by the
-// pre-segmented single-file format (magic|length|crc|payload frames, no
-// sequence numbers) must open in place with all its records, migrated
-// into the directory format.
-func TestLegacySingleFileWALUpgrade(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.wal")
-	var file []byte
-	frame := func(rec walRecord) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], 0x534b5457)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(buf.Len()))
-		binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(buf.Bytes()))
-		file = append(file, hdr[:]...)
-		file = append(file, buf.Bytes()...)
-	}
-	frame(walRecord{Key: "a", Version: ver("1", vclock.VC{"n": 1})})
-	frame(walRecord{Key: "b", Version: ver("2", vclock.VC{"n": 2})})
-	frame(walRecord{Key: "a", Version: ver("3", vclock.VC{"n": 3})}) // overwrite
-	frame(walRecord{Key: "b", Drop: true})
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open on legacy single-file WAL: %v", err)
-	}
-	defer e.Close()
-	if got := e.Get("a"); len(got) != 1 || string(got[0].Value) != "3" {
-		t.Fatalf("migrated a = %+v", got)
-	}
-	if got := e.Get("b"); got != nil {
-		t.Fatalf("dropped key survived migration: %+v", got)
-	}
-	if e.Len() != 1 {
-		t.Fatalf("migrated Len = %d", e.Len())
-	}
-	// And the engine keeps working durably in the new format.
-	if _, err := e.Put("c", ver("new", vclock.VC{"n": 4})); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -444,47 +444,91 @@ func (e *Engine) Get(key string) []Version {
 // Put applies a version to the key under vector-clock causality: versions
 // dominated by the new clock are dropped, a version dominating the new
 // one makes the put a no-op, and concurrent versions coexist as siblings.
-// It reports whether the version was accepted (i.e. changed state).
-//
-// The WAL record is enqueued under the shard lock — pinning the log order
-// of same-key records to the order they were applied, so a crash replay
-// reconstructs the exact engine state — but the fsync wait (group commit)
-// happens after the lock is released, so readers of the shard never stall
-// behind a write's disk flush. Records of different keys commute on
-// replay, so cross-shard ordering is unconstrained.
-//
-// The record is encoded and size-checked BEFORE the version is applied
-// (wasting the encode when causality rejects the write): once a version
-// is applied, its record must reach the log, or a write whose caller saw
-// an error would live on in memory and be baked into the next snapshot.
-// With the encode hoisted out, Enqueue under the lock can only fail by
-// poisoning the whole log — and a poisoned log refuses to checkpoint.
+// It reports whether the version was accepted (i.e. changed state). It is
+// a one-item PutBatch.
 func (e *Engine) Put(key string, v Version) (bool, error) {
-	var buf bytes.Buffer
+	accepted, err := e.PutBatch([]Item{{Key: key, Version: v}})
+	return accepted == 1, err
+}
+
+// Item is one key/version pair of a PutBatch.
+type Item struct {
+	Key     string
+	Version Version
+}
+
+// PutBatch applies every item as Put would, in order, and makes the batch
+// durable with a single group-commit wait. It returns how many items were
+// accepted; dominated items change nothing and are not logged.
+//
+// The write order is: (1) encode and size-check every record before
+// anything is applied, so an oversized or unencodable item fails the
+// batch with no state changed; (2) per item, under its shard lock, apply
+// it, run the write hook and Enqueue its record — pinning the log order
+// of same-key records to the order they were applied, so a crash replay
+// reconstructs the exact engine state; (3) after every lock is released,
+// Commit only the last ticket. Commit rounds flush the queue in enqueue
+// order and a failed round poisons the log for every later one, so the
+// last ticket's outcome covers every record of the batch, and readers of
+// a shard never stall behind the batch's fsync. Records of different keys
+// commute on replay, so cross-shard ordering is unconstrained.
+//
+// Once a version is applied its record must reach the log, or a write
+// whose caller saw an error would live on in memory and be baked into the
+// next snapshot. With the encode hoisted out, Enqueue under the lock can
+// only fail by poisoning the whole log — and a poisoned log refuses to
+// checkpoint.
+func (e *Engine) PutBatch(items []Item) (int, error) {
+	var recs [][]byte
 	if e.log != nil {
-		if err := gob.NewEncoder(&buf).Encode(walRecord{Key: key, Version: v}); err != nil {
-			return false, fmt.Errorf("store: encode wal record: %w", err)
-		}
-		if buf.Len() > wal.MaxRecordSize {
-			return false, fmt.Errorf("store: wal record of %d bytes exceeds max %d", buf.Len(), wal.MaxRecordSize)
+		recs = make([][]byte, len(items))
+		for i, it := range items {
+			rec, err := encodeRecord(walRecord{Key: it.Key, Version: it.Version})
+			if err != nil {
+				return 0, err
+			}
+			recs[i] = rec
 		}
 	}
-	s := e.shardOf(key)
-	s.mu.Lock()
-	accepted := s.apply(key, v, true)
-	if accepted && e.hook != nil {
-		e.hook(key, leafSum(s.data[key]), false)
-	}
-	if !accepted || e.log == nil {
+	accepted := 0
+	var last *wal.Ticket
+	for i, it := range items {
+		s := e.shardOf(it.Key)
+		s.mu.Lock()
+		if !s.apply(it.Key, it.Version, true) {
+			s.mu.Unlock()
+			continue
+		}
+		accepted++
+		if e.hook != nil {
+			e.hook(it.Key, leafSum(s.data[it.Key]), false)
+		}
+		if e.log != nil {
+			t, err := e.log.Enqueue(recs[i])
+			if err != nil {
+				s.mu.Unlock()
+				return accepted, err
+			}
+			last = t
+		}
 		s.mu.Unlock()
+	}
+	if last == nil {
 		return accepted, nil
 	}
-	t, err := e.log.Enqueue(buf.Bytes())
-	s.mu.Unlock()
-	if err != nil {
-		return accepted, err
+	return accepted, e.log.Commit(last)
+}
+
+// encodeRecord gob-encodes one WAL record and checks it fits the log.
+func encodeRecord(rec walRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		return nil, fmt.Errorf("store: encode wal record: %w", err)
 	}
-	return accepted, e.log.Commit(t)
+	if buf.Len() > wal.MaxRecordSize {
+		return nil, fmt.Errorf("store: wal record of %d bytes exceeds max %d", buf.Len(), wal.MaxRecordSize)
+	}
+	return buf.Bytes(), nil
 }
 
 // apply merges the version into the sibling set; caller holds mu. With
@@ -523,13 +567,11 @@ func (s *shard) apply(key string, v Version, copyIn bool) bool {
 // order = apply order) and committed outside it, and encoded before the
 // drop is applied so no error path leaves applied-but-unlogged state.
 func (e *Engine) Drop(key string) (int64, error) {
-	var buf bytes.Buffer
+	var rec []byte
 	if e.log != nil {
-		if err := gob.NewEncoder(&buf).Encode(walRecord{Key: key, Drop: true}); err != nil {
-			return 0, fmt.Errorf("store: encode drop record: %w", err)
-		}
-		if buf.Len() > wal.MaxRecordSize {
-			return 0, fmt.Errorf("store: wal record of %d bytes exceeds max %d", buf.Len(), wal.MaxRecordSize)
+		var err error
+		if rec, err = encodeRecord(walRecord{Key: key, Drop: true}); err != nil {
+			return 0, err
 		}
 	}
 	s := e.shardOf(key)
@@ -542,7 +584,7 @@ func (e *Engine) Drop(key string) (int64, error) {
 		s.mu.Unlock()
 		return freed, nil
 	}
-	t, err := e.log.Enqueue(buf.Bytes())
+	t, err := e.log.Enqueue(rec)
 	s.mu.Unlock()
 	if err != nil {
 		return freed, err

@@ -143,108 +143,6 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// legacyHeaderSize is the frame header of the pre-segmented single-file
-// log format: magic, length, crc32 — no sequence number.
-const legacyHeaderSize = 12
-
-// legacySuffix marks a single-file log parked for migration. The file is
-// only removed once the migrated directory log is fully synced, so a
-// crash at any point of the migration resumes it on the next open.
-const legacySuffix = ".legacy"
-
-// migrateLegacy converts a pre-segmented single-file log at dir into the
-// directory format: the file is atomically parked as dir+".legacy", its
-// intact frames (old format, torn tail tolerated) are rewritten as
-// segment records with sequence numbers 1..n, and the parked file is
-// deleted only after the new log is synced. The migrated log rotates at
-// the caller's configured segment size. A leftover .legacy file from a
-// crashed migration wins over any partially written directory.
-func migrateLegacy(dir string, segBytes int64) error {
-	if fi, err := os.Stat(dir); err == nil && fi.Mode().IsRegular() {
-		if err := os.Rename(dir, dir+legacySuffix); err != nil {
-			return fmt.Errorf("wal: park legacy log %s: %w", dir, err)
-		}
-	}
-	src, err := os.Open(dir + legacySuffix)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // nothing to migrate
-		}
-		return fmt.Errorf("wal: read legacy log: %w", err)
-	}
-	defer src.Close()
-	// The directory (if present) is a partial earlier migration, never
-	// live data: the .legacy file is deleted before any appends can land.
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("wal: clear partial migration %s: %w", dir, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: create %s: %w", dir, err)
-	}
-	l := &Log{dir: dir, segBytes: segBytes, nextSeq: 1}
-	l.idle.L = &l.mu
-	if err := l.openActive(1); err != nil {
-		return err
-	}
-	// Stream the old frame format record by record, stopping at the first
-	// torn or corrupt frame exactly as the old replay did. Streaming (not
-	// ReadFile) keeps peak memory at one commit batch — the legacy format
-	// grew without bound, so the file being migrated can be huge. Commit
-	// whenever the pending batch reaches the segment threshold: rotation
-	// only runs at the end of a commit round, so draining the whole file
-	// in one round would produce a single segment of unbounded size
-	// regardless of segBytes.
-	r := bufio.NewReaderSize(src, 1<<20)
-	var hdr [legacyHeaderSize]byte
-	var batchBytes int64
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // clean EOF or torn header
-		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != magic {
-			break
-		}
-		length := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > MaxRecordSize {
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
-			break
-		}
-		t, err := l.Enqueue(payload)
-		if err != nil {
-			l.Close()
-			return fmt.Errorf("wal: migrate legacy record: %w", err)
-		}
-		batchBytes += headerSize + int64(length)
-		if batchBytes >= segBytes {
-			if err := l.Commit(t); err != nil {
-				l.Close()
-				return fmt.Errorf("wal: migrate legacy record: %w", err)
-			}
-			batchBytes = 0
-		}
-	}
-	cerr := l.Close() // drains the remaining queue
-	// The final batch is flushed inside Close, which does not surface a
-	// failed round itself — check the sticky failure before the parked
-	// legacy file (still holding every record) is deleted.
-	if err := l.Err(); err != nil {
-		return fmt.Errorf("wal: migrate legacy records: %w", err)
-	}
-	if cerr != nil {
-		return fmt.Errorf("wal: sync migrated log: %w", cerr)
-	}
-	if err := os.Remove(dir + legacySuffix); err != nil {
-		return fmt.Errorf("wal: remove migrated legacy log: %w", err)
-	}
-	return syncDir(filepath.Dir(dir))
-}
-
 // Open opens (creating if needed) the log directory at dir, replays every
 // intact record into the replay callback in sequence order and truncates
 // trailing corruption of the final segment. The callback must not retain
@@ -253,16 +151,11 @@ func Open(dir string, replay func(seq uint64, payload []byte) error) (*Log, erro
 	return OpenOptions(dir, Options{}, replay)
 }
 
-// OpenOptions is Open with explicit tuning. A pre-segmented single-file
-// log found at dir is migrated into the directory format first, so nodes
-// upgrade in place without losing acknowledged writes.
+// OpenOptions is Open with explicit tuning.
 func OpenOptions(dir string, o Options, replay func(seq uint64, payload []byte) error) (*Log, error) {
 	segBytes := o.SegmentBytes
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
-	}
-	if err := migrateLegacy(dir, segBytes); err != nil {
-		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s (the log is a directory of segment files): %w", dir, err)

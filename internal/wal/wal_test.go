@@ -2,9 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -574,80 +572,36 @@ func BenchmarkAppend1KB(b *testing.B) {
 	}
 }
 
-// writeLegacyFile writes records in the pre-segmented single-file format
-// (magic | length | crc32 | payload, no seq).
-func writeLegacyFile(t *testing.T, path string, records [][]byte, tornTail []byte) {
-	t.Helper()
-	var buf []byte
-	var hdr [12]byte
-	for _, p := range records {
-		binary.LittleEndian.PutUint32(hdr[0:4], magic)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(p))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+// TestStrayLegacyFileKeepsLog: a file named <dir>.legacy beside a live
+// log directory is not the log's business. Open must replay every record
+// of the directory and leave the stray file alone.
+func TestStrayLegacyFileKeepsLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "node.wal")
+	l, _ := openCollect(t, dir)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("live-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	buf = append(buf, tornTail...)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
+	if err := os.WriteFile(dir+".legacy", []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-// TestLegacySingleFileMigration: a pre-segmented single-file log opens in
-// place — its records get sequence numbers 1..n in the directory format,
-// a torn tail is dropped like the old replay dropped it, and the parked
-// .legacy file is gone afterwards.
-func TestLegacySingleFileMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.wal")
-	records := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
-	writeLegacyFile(t, path, records, []byte{0x57, 0x54}) // plus torn junk
-
-	l, got := openCollect(t, path)
-	if len(got) != len(records) {
-		t.Fatalf("migrated %d records, want %d", len(got), len(records))
+	l2, got := openCollect(t, dir)
+	defer l2.Close()
+	if len(got) != 3 {
+		t.Fatalf("replayed %d records beside a stray .legacy file, want 3", len(got))
 	}
 	for i, r := range got {
-		if r.seq != uint64(i+1) || !bytes.Equal(r.payload, records[i]) {
+		if r.seq != uint64(i+1) || string(r.payload) != fmt.Sprintf("live-%d", i) {
 			t.Fatalf("record %d = seq %d %q", i, r.seq, r.payload)
 		}
 	}
-	if _, err := os.Stat(path + legacySuffix); !os.IsNotExist(err) {
-		t.Errorf(".legacy file not removed after migration: %v", err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("migrated log is not a directory: %v %v", fi, err)
-	}
-	if seq, err := l.Append([]byte("post-migration")); err != nil || seq != 4 {
-		t.Fatalf("Append after migration: seq %d, %v", seq, err)
-	}
-	l.Close()
-
-	l2, got := openCollect(t, path)
-	defer l2.Close()
-	if len(got) != 4 || string(got[3].payload) != "post-migration" {
-		t.Fatalf("reopen after migration replayed %d records", len(got))
-	}
-}
-
-// TestLegacyMigrationResumesAfterCrash: a crash after the legacy file was
-// parked (and a partial directory written) must redo the migration from
-// the parked file, not trust the partial directory.
-func TestLegacyMigrationResumesAfterCrash(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.wal")
-	writeLegacyFile(t, path+legacySuffix, [][]byte{[]byte("real-1"), []byte("real-2")}, nil)
-	// Partial migrated dir from the crashed attempt: one bogus segment.
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(path, segName(1)), []byte("partial junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, got := openCollect(t, path)
-	defer l.Close()
-	if len(got) != 2 || string(got[0].payload) != "real-1" || string(got[1].payload) != "real-2" {
-		t.Fatalf("resumed migration replayed %q", got)
+	if data, err := os.ReadFile(dir + ".legacy"); err != nil || string(data) != "stray" {
+		t.Fatalf("stray file touched: %q, %v", data, err)
 	}
 }
 
@@ -724,48 +678,6 @@ func TestLastFlushedExcludesEnqueued(t *testing.T) {
 	if l2.LastFlushed() != 2 {
 		t.Fatalf("LastFlushed after reopen = %d, want 2", l2.LastFlushed())
 	}
-}
-
-// TestLegacyMigrationRespectsSegmentBytes: migrating a single-file log
-// must rotate at the caller's configured segment size, not the default —
-// a small-segment config would otherwise start life with one oversized
-// segment.
-func TestLegacyMigrationRespectsSegmentBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.wal")
-	var records [][]byte
-	for i := 0; i < 40; i++ {
-		records = append(records, []byte(fmt.Sprintf("legacy-record-%02d", i)))
-	}
-	writeLegacyFile(t, path, records, nil)
-
-	l, got, err := openCollectErr(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("migrated %d records, want %d", len(got), len(records))
-	}
-	// Several segments, and every one bounded: a segment may overshoot
-	// the threshold by at most the frames of the commit round that
-	// crossed it, never hold the whole migrated history.
-	files := segFiles(t, path)
-	if len(files) < 3 {
-		t.Fatalf("migration ignored SegmentBytes: %d segment file(s) for %d records past a 128B threshold", len(files), len(records))
-	}
-	maxFrame := int64(headerSize + len(records[0]))
-	for _, f := range files {
-		fi, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() > 128+maxFrame {
-			t.Fatalf("migrated segment %s is %d bytes, want <= threshold+one frame (%d)", f, fi.Size(), 128+maxFrame)
-		}
-	}
-	if seq, err := l.Append([]byte("post")); err != nil || seq != uint64(len(records)+1) {
-		t.Fatalf("Append after migration: seq %d, %v", seq, err)
-	}
-	l.Close()
 }
 
 // TestFlushDrainsEnqueued: Flush makes every enqueued record durable

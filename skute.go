@@ -576,10 +576,10 @@ func (c *Cluster) Delete(ctx context.Context, app, key string, vctx Context, opt
 }
 
 // MGet reads a batch of keys in one coordinated operation. The
-// coordinator groups the keys by partition and sends each replica ONE
-// envelope per partition group instead of running len(keys) independent
-// quorum rounds — the hot path for fan-out-heavy reads. Missing keys map
-// to an empty GetResult.
+// coordinator groups the keys by partition and sends each replica node
+// at most ONE envelope instead of running len(keys) independent quorum
+// rounds — the hot path for fan-out-heavy reads. Missing keys map to an
+// empty GetResult.
 func (c *Cluster) MGet(ctx context.Context, app string, keys []string, opts ReadOptions) (map[string]GetResult, error) {
 	id, err := c.ringOf(app)
 	if err != nil {
