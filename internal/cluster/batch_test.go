@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func batchEntries(n int, tag string) ([]string, []Entry) {
 
 // dataCalls counts the replica-level data envelopes sent so far.
 func (c *countingTransport) dataCalls() int {
-	return c.count(kindPut) + c.count(kindMultiGet) + c.count(kindMultiPut)
+	return c.count(kindMultiGet) + c.count(kindMultiPut)
 }
 
 // pinHedge fixes the coordinator's hedge delay, so no histogram refresh
@@ -266,5 +267,105 @@ func TestSyncPartitionCountsOnlyAckedPushes(t *testing.T) {
 				t.Errorf("%s holds %d versions of %s after the sync, want 1", n.Name(), len(vs), k)
 			}
 		}
+	}
+}
+
+// singleKey finds a key whose replica set includes (hosted) or excludes
+// the coordinator, and returns it with its replicas and partition.
+func singleKey(t *testing.T, coord *Node, hosted bool) (string, []string, int) {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		key := fmt.Sprintf("single-%d", i)
+		reps, err := coord.Replicas(batchRing, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(reps, coord.Name()) == hosted {
+			return key, reps, coord.rings.Ring(batchRing).Lookup(ring.HashKey(key)).ID
+		}
+	}
+	t.Fatalf("no key with hosted=%v", hosted)
+	return "", nil, 0
+}
+
+// TestSingleKeyWriteEnvelopes: a Put is a one-item batch, so it sends
+// one multi-put per remote replica and no other data envelope — 2 from
+// a coordinator that hosts the key, 3 from one that does not.
+func TestSingleKeyWriteEnvelopes(t *testing.T) {
+	_, nodes, ct := batchCluster(t)
+	byName := make(map[string]*Node, len(nodes))
+	for _, n := range nodes {
+		byName[n.Name()] = n
+	}
+	for _, tc := range []struct {
+		name   string
+		hosted bool
+		want   int
+	}{{"hosting coordinator", true, 2}, {"non-hosting coordinator", false, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			key, reps, _ := singleKey(t, nodes[0], tc.hosted)
+			ct.reset()
+			if err := nodes[0].Put(ctx, batchRing, key, []byte("v"), nil, WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			// Put returns at W=2 of 3; the last send completes detached.
+			waitFor(t, 5*time.Second, func() bool {
+				for _, r := range reps {
+					if len(byName[r].Engine().Get(storageKey(batchRing, key))) != 1 {
+						return false
+					}
+				}
+				return true
+			}, "every replica to store the write")
+			if got := ct.count(kindMultiPut); got != tc.want {
+				t.Errorf("Put sent %d multi-put envelopes, want %d", got, tc.want)
+			}
+			if got := ct.dataCalls(); got != tc.want {
+				t.Errorf("Put sent %d data envelopes, want only its %d multi-puts", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSingleKeyDeleteReadsNotFound: a Delete's tombstone supersedes the
+// Put it read, so a quorum Get finds nothing.
+func TestSingleKeyDeleteReadsNotFound(t *testing.T) {
+	_, nodes, _ := batchCluster(t)
+	for _, hosted := range []bool{true, false} {
+		key, _, _ := singleKey(t, nodes[0], hosted)
+		if err := nodes[0].Put(ctx, batchRing, key, []byte("v"), nil, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := nodes[0].Get(ctx, batchRing, key, ReadOptions{Consistency: ConsistencyQuorum})
+		if err != nil || len(res.Values) != 1 {
+			t.Fatalf("Get after Put: %q, %v", res.Values, err)
+		}
+		if err := nodes[0].Delete(ctx, batchRing, key, res.Context, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = nodes[0].Get(ctx, batchRing, key, ReadOptions{Consistency: ConsistencyQuorum}); err != nil || len(res.Values) != 0 {
+			t.Errorf("Get after Delete (hosted=%v): %q, %v; want not found", hosted, res.Values, err)
+		}
+	}
+}
+
+// TestSingleKeyWriteQuorum: with every ack remote, a Put still meets
+// W=2 of 3 with one replica dead, and with two dead it fails with an
+// error naming the key's partition.
+func TestSingleKeyWriteQuorum(t *testing.T) {
+	mesh, nodes, _ := batchCluster(t)
+	key, reps, part := singleKey(t, nodes[0], false)
+	addr := func(name string) string {
+		info, _ := nodes[0].info(name)
+		return info.Addr
+	}
+	mesh.SetDown(addr(reps[0]), true)
+	if err := nodes[0].Put(ctx, batchRing, key, []byte("v1"), nil, WriteOptions{}); err != nil {
+		t.Fatalf("Put with one replica dead: %v", err)
+	}
+	mesh.SetDown(addr(reps[1]), true)
+	err := nodes[0].Put(ctx, batchRing, key, []byte("v2"), nil, WriteOptions{})
+	if want := fmt.Sprintf("partition %d:", part); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Put with two replicas dead: err = %v, want a quorum shortfall naming %q", err, want)
 	}
 }

@@ -15,26 +15,17 @@ import (
 
 // benchTCPCluster boots a 6-server cluster over real sockets (3-replica
 // ring, majority quorums) and returns a client bound to the first node.
-// freshDial selects the checked-in baseline: every RPC — client to
-// coordinator AND coordinator to replica — dials a fresh connection and
-// pays the per-call gob type descriptors, exactly the cost profile of
-// the pre-pooling wire. With freshDial false, the same traffic rides
+// Every RPC — client to coordinator and coordinator to replica — rides
 // the pooled, multiplexed frame protocol.
-func benchTCPCluster(b *testing.B, freshDial bool) ([]*Node, *Client, ring.RingID) {
-	return benchTCPClusterWrapped(b, freshDial, nil)
+func benchTCPCluster(b *testing.B) ([]*Node, *Client, ring.RingID) {
+	return benchTCPClusterWrapped(b, nil)
 }
 
 // benchTCPClusterWrapped is benchTCPCluster with an optional wrapper
 // around the coordinator's (node 0's) outgoing transport — fault
 // injection for the hedged-read benchmark.
-func benchTCPClusterWrapped(b *testing.B, freshDial bool, wrap0 func(transport.Transport) transport.Transport) ([]*Node, *Client, ring.RingID) {
+func benchTCPClusterWrapped(b *testing.B, wrap0 func(transport.Transport) transport.Transport) ([]*Node, *Client, ring.RingID) {
 	b.Helper()
-	if freshDial {
-		// The baseline reproduces the old hot path end to end: per-call
-		// payload descriptors too, not just per-call dials.
-		legacyPayloadCodec.Store(true)
-		b.Cleanup(func() { legacyPayloadCodec.Store(false) })
-	}
 	const servers = 6
 	addrs := make([]string, servers)
 	for i := range addrs {
@@ -67,7 +58,6 @@ func benchTCPClusterWrapped(b *testing.B, freshDial bool, wrap0 func(transport.T
 	nodes := make([]*Node, servers)
 	for i := 0; i < servers; i++ {
 		nt := transport.NewTCP()
-		nt.DisablePooling = freshDial
 		b.Cleanup(func() { nt.Close() })
 		var err error
 		var tr transport.Transport = &fixedAddrTCP{TCP: nt, addr: addrs[i]}
@@ -83,15 +73,14 @@ func benchTCPClusterWrapped(b *testing.B, freshDial bool, wrap0 func(transport.T
 		n.ConfirmPeers()
 	}
 	ct := transport.NewTCP()
-	ct.DisablePooling = freshDial
 	b.Cleanup(func() { ct.Close() })
 	return nodes, NewClient(ct, addrs[0]), ring.RingID{App: "bench", Class: "std"}
 }
 
-// benchTCPPut drives quorum writes (W=2 of 3 replicas) through the
-// client — every leg over real sockets.
-func benchTCPPut(b *testing.B, freshDial bool) {
-	_, client, id := benchTCPCluster(b, freshDial)
+// BenchmarkTCPClusterPut measures a quorum write (W=2 of 3 replicas)
+// end-to-end through the client — every leg over real sockets.
+func BenchmarkTCPClusterPut(b *testing.B) {
+	_, client, id := benchTCPCluster(b)
 	val := make([]byte, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -102,9 +91,10 @@ func benchTCPPut(b *testing.B, freshDial bool) {
 	}
 }
 
-// benchTCPGet seeds 512 keys and drives quorum reads through the client.
-func benchTCPGet(b *testing.B, freshDial bool) {
-	_, client, id := benchTCPCluster(b, freshDial)
+// BenchmarkTCPClusterGet seeds 512 keys and measures a quorum read
+// end-to-end through the client.
+func BenchmarkTCPClusterGet(b *testing.B) {
+	_, client, id := benchTCPCluster(b)
 	val := make([]byte, 256)
 	for i := 0; i < 512; i++ {
 		if err := client.Put(ctx, id, fmt.Sprintf("key-%d", i), val, nil, WriteOptions{}); err != nil {
@@ -120,10 +110,10 @@ func benchTCPGet(b *testing.B, freshDial bool) {
 	}
 }
 
-// benchTCPMGet drives 64-key batched reads; the batch still fans out
-// one envelope per replica node, all over the wire.
-func benchTCPMGet(b *testing.B, freshDial bool) {
-	_, client, id := benchTCPCluster(b, freshDial)
+// BenchmarkTCPClusterMGet measures a 64-key batched read; the batch
+// fans out one envelope per replica node, all over the wire.
+func BenchmarkTCPClusterMGet(b *testing.B) {
+	_, client, id := benchTCPCluster(b)
 	entries := make([]Entry, 64)
 	keys := make([]string, 64)
 	for i := range keys {
@@ -146,31 +136,6 @@ func benchTCPMGet(b *testing.B, freshDial bool) {
 	}
 }
 
-// BenchmarkTCPClusterPut measures a quorum write end-to-end over the
-// pooled multiplexed transport. Compare with the FreshDial baseline:
-// the gap is what persistent pooled connections buy on the wire path.
-func BenchmarkTCPClusterPut(b *testing.B) { benchTCPPut(b, false) }
-
-// BenchmarkTCPClusterPutFreshDial is the checked-in baseline: identical
-// traffic, but every RPC dials a fresh connection (the pre-pooling wire).
-func BenchmarkTCPClusterPutFreshDial(b *testing.B) { benchTCPPut(b, true) }
-
-// BenchmarkTCPClusterGet measures a quorum read end-to-end over the
-// pooled multiplexed transport.
-func BenchmarkTCPClusterGet(b *testing.B) { benchTCPGet(b, false) }
-
-// BenchmarkTCPClusterGetFreshDial is the fresh-dial-per-call baseline
-// for BenchmarkTCPClusterGet.
-func BenchmarkTCPClusterGetFreshDial(b *testing.B) { benchTCPGet(b, true) }
-
-// BenchmarkTCPClusterMGet measures a 64-key batched read over the
-// pooled wire.
-func BenchmarkTCPClusterMGet(b *testing.B) { benchTCPMGet(b, false) }
-
-// BenchmarkTCPClusterMGetFreshDial is the fresh-dial baseline for
-// BenchmarkTCPClusterMGet.
-func BenchmarkTCPClusterMGetFreshDial(b *testing.B) { benchTCPMGet(b, true) }
-
 // BenchmarkTCPClusterGetOne measures the coordinator's ConsistencyOne
 // fast path with the full TCP cluster standing: the key is replicated on
 // the coordinator, so the read is served from the local store under the
@@ -178,7 +143,7 @@ func BenchmarkTCPClusterMGetFreshDial(b *testing.B) { benchTCPMGet(b, true) }
 // (see readpath.go). This is the per-read cost a client co-located with
 // a replica pays after its request frame lands.
 func BenchmarkTCPClusterGetOne(b *testing.B) {
-	nodes, client, id := benchTCPCluster(b, false)
+	nodes, client, id := benchTCPCluster(b)
 	// Seed keys and keep the ones the coordinator hosts.
 	var local []string
 	for i := 0; len(local) < 256 && i < 8192; i++ {
@@ -240,7 +205,7 @@ func (s *slowReplicaTransport) Call(ctx context.Context, addr string, req transp
 // would pin p99 at the injected delay.
 func BenchmarkTCPClusterGetHedged(b *testing.B) {
 	var slow *slowReplicaTransport
-	nodes, client, id := benchTCPClusterWrapped(b, false, func(tr transport.Transport) transport.Transport {
+	nodes, client, id := benchTCPClusterWrapped(b, func(tr transport.Transport) transport.Transport {
 		slow = &slowReplicaTransport{Transport: tr, delay: 5 * time.Millisecond}
 		return slow
 	})
@@ -304,7 +269,7 @@ func BenchmarkTCPClusterGetHedged(b *testing.B) {
 // in-flight data-plane frames on the same pooled sockets instead of
 // queueing behind them.
 func BenchmarkTCPMultiplexedHeartbeats(b *testing.B) {
-	nodes, client, id := benchTCPCluster(b, false)
+	nodes, client, id := benchTCPCluster(b)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"reflect"
 	"sync"
-	"sync/atomic"
 )
 
 // Payload codec: long-lived, pooled gob encoder/decoder sessions.
@@ -47,7 +46,6 @@ import (
 // ADD NEW WIRE PAYLOAD TYPES TO THIS LIST. The cross-process codec
 // test re-execs the test binary to catch a forgotten registration.
 var wirePayloadPrototypes = []any{
-	putReq{}, putResp{},
 	heartbeatReq{},
 	leavesReq{}, leavesResp{}, kv{},
 	adoptReq{}, announceReq{}, rentsResp{},
@@ -70,23 +68,10 @@ func init() {
 	}
 }
 
-// Payload markers: the first byte of every encoded payload. 0x00 is
-// the legacy full-descriptor codec; a byte with the high bit set is
-// the session codec, its low 7 bits fingerprinting the sender's
-// canonical prime bytes for the payload type.
-const legacyMarker = 0x00
-
-// legacyPayloadCodec switches encode/decode back to fresh gob streams
-// per call — full descriptors in every payload, the pre-session cost
-// profile. Only the wire-path benchmarks flip it, to keep the
-// checked-in fresh-dial baseline faithful to the old hot path end to
-// end; it must never be toggled while traffic is in flight (sessions
-// and legacy payloads are not interchangeable on the wire).
-var legacyPayloadCodec atomic.Bool
-
 // primeInfo caches, per payload type, the canonical bytes a fresh gob
 // stream emits for the type's descriptors plus one zero value, and the
-// marker byte fingerprinting them.
+// marker byte fingerprinting them: the first byte of every encoded
+// payload, its high bit set and its low 7 bits a hash of the bytes.
 type primeInfo struct {
 	bytes  []byte
 	marker byte
@@ -196,14 +181,6 @@ func decPoolFor(t reflect.Type) *sync.Pool {
 // The returned slice is an exact-size copy, so the session buffer never
 // escapes.
 func encode(v any) []byte {
-	if legacyPayloadCodec.Load() {
-		var buf bytes.Buffer
-		buf.WriteByte(legacyMarker)
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			panic(fmt.Sprintf("cluster: encode %T: %v", v, err))
-		}
-		return buf.Bytes()
-	}
 	t := reflect.TypeOf(v)
 	marker := primeFor(t).marker
 	pool := encPoolFor(t)
@@ -223,19 +200,15 @@ func encode(v any) []byte {
 
 // decode deserializes a wire payload through its type's pooled session.
 // v must be a pointer to the concrete payload type. The marker byte
-// routes between the session and legacy codecs and rejects a sender
-// whose canonical prime disagrees with ours (codec drift — e.g. a wire
-// type missing from wirePayloadPrototypes) instead of misdecoding. A
-// failed decode discards the session (its stream state is unknown) and
-// reports the error.
+// rejects a sender whose canonical prime disagrees with ours (codec
+// drift — e.g. a wire type missing from wirePayloadPrototypes) instead
+// of misdecoding. A failed decode discards the session (its stream
+// state is unknown) and reports the error.
 func decode(p []byte, v any) error {
 	if len(p) == 0 {
 		return fmt.Errorf("cluster: empty payload for %T", v)
 	}
 	marker, body := p[0], p[1:]
-	if marker == legacyMarker {
-		return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-	}
 	t := reflect.TypeOf(v)
 	if t.Kind() != reflect.Pointer {
 		return fmt.Errorf("cluster: decode into non-pointer %T", v)

@@ -28,7 +28,6 @@ func codecSamples() []any {
 		clientGetResp{Values: [][]byte{[]byte("a"), []byte("b")}, Context: map[string]uint64{"n1": 9}},
 		heartbeatReq{From: "n0", Digest: placement.Digest{}},
 		multiGetResp{Items: []kv{{Key: "k", Versions: []store.Version{ver}}}},
-		putReq{Ring: id, Key: "k", Version: ver},
 		multiGetReq{Ring: id, Keys: []string{"a", "b", "c"}},
 		multiPutReq{Ring: id, Items: []putItem{{Key: "a", Version: ver}}},
 		clientMPutReq{Ring: id, Entries: []Entry{{Key: "a", Value: []byte("x"), Context: vclock.VC{"n2": 4}}}},
@@ -55,15 +54,37 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if got.Key != want.Key || string(got.Value) != string(want.Value) || got.Context["n0"] != 2 {
 		t.Errorf("decoded %+v, want %+v", got, want)
 	}
-	// Legacy payloads (marker 0x00) still decode — the knob the
-	// fresh-dial baseline benchmarks flip.
-	legacyPayloadCodec.Store(true)
-	legacy := encode(want)
-	legacyPayloadCodec.Store(false)
-	var got2 clientPutReq
-	if err := decode(legacy, &got2); err != nil || got2.Key != want.Key {
-		t.Errorf("legacy decode: %v, %+v", err, got2)
+	// The session codec is the only one: a payload whose marker byte is
+	// 0x00 is a codec mismatch like any other marker but the type's own.
+	p := encode(want)
+	p[0] = 0x00
+	if err := decode(p, &got); err == nil || !strings.Contains(err.Error(), "codec mismatch") {
+		t.Errorf("decode of a 0x00-marked payload: err = %v, want a codec mismatch", err)
 	}
+}
+
+// FuzzDecodePayload: decode reads bytes off the socket, so no input may
+// panic it, and no input may poison the pooled session a later
+// well-formed payload decodes on. The seeds are the encoded samples; plain
+// go test runs them, go test -fuzz explores from them.
+func FuzzDecodePayload(f *testing.F) {
+	var want multiPutReq
+	for _, s := range codecSamples() {
+		f.Add(encode(s))
+		if m, ok := s.(multiPutReq); ok {
+			want = m
+		}
+	}
+	wellFormed := encode(want)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		_ = decode(p, &multiPutReq{})
+		_ = decode(p, &multiGetResp{})
+		_ = decode(p, &clientPutReq{})
+		var got multiPutReq
+		if err := decode(wellFormed, &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("well-formed multiPutReq after input %x: %+v, %v; want %+v", p, got, err, want)
+		}
+	})
 }
 
 // newPtr returns a pointer to a fresh zero value of v's type.

@@ -22,7 +22,6 @@ import (
 
 // Message kinds on the wire.
 const (
-	kindPut       = "put"
 	kindHeartbeat = "heartbeat"
 	kindLeaves    = "merkle-leaves"
 	kindAdopt     = "adopt"
@@ -43,10 +42,10 @@ const (
 	// the push missed (see internal/placement).
 	kindDelta     = "placement-delta"
 	kindDeltaPull = "placement-pull"
-	// Multi-key replica kinds: one envelope carries every key a batch
-	// needs from one replica node, whatever partitions they fall on
-	// (see Node.MultiGet/MultiPut); anti-entropy pulls and pushes ride
-	// them too.
+	// Replica data kinds: one envelope carries every key a batch needs
+	// from one replica node, whatever partitions they fall on (see
+	// Node.MultiGet and writeBatch); single-key writes, read repair and
+	// anti-entropy pulls and pushes ride them too.
 	kindMultiGet = "multi-get"
 	kindMultiPut = "multi-put"
 	// Client-facing kinds: the receiving node coordinates the quorum
@@ -64,14 +63,6 @@ const (
 // Wire payloads (gob encoded inside transport.Envelope.Payload via the
 // pooled codec sessions in codec.go).
 type (
-	putReq struct {
-		Ring    ring.RingID
-		Key     string
-		Version store.Version
-	}
-	putResp struct {
-		Accepted bool
-	}
 	heartbeatReq struct {
 		From string
 		// Digest piggybacks the sender's per-ring placement
@@ -615,17 +606,6 @@ func (n *Node) SendHeartbeats(ctx context.Context) {
 	n.counters.HeartbeatRounds.Inc()
 }
 
-// kindPriority classifies an incoming request kind for admission.
-// Membership traffic (heartbeats, joins, member gossip) is Critical:
-// shedding it under load would turn an overload into a false-suspicion
-// cascade. Replica-level data ops (kindPut/kindMultiGet/...) are Critical
-// too — the coordinator that fanned them out already paid admission at
-// the client edge, so shedding them mid-quorum would fail work the
-// cluster has committed to. Background covers anti-entropy, partition
-// transfer, epoch/economy and placement gossip — everything that
-// retries on its own schedule. Client kinds return gated=false: the
-// coordinator op they invoke runs the gate itself (so the embedded
-// in-process path is covered identically and nothing is gated twice).
 // initResilience builds the node's admission gate and per-peer circuit
 // breakers from the overload knobs of its config. NewNode and JoinNode
 // both run it — a joiner faces the same saturation a descriptor-booted
@@ -656,10 +636,21 @@ func (n *Node) initResilience(cfg Config) {
 	})
 }
 
+// kindPriority classifies an incoming request kind for admission.
+// Membership traffic (heartbeats, joins, member gossip) is Critical:
+// shedding it under load would turn an overload into a false-suspicion
+// cascade. Replica-level data ops (kindMultiGet/kindMultiPut) are Critical
+// too — the coordinator that fanned them out already paid admission at
+// the client edge, so shedding them mid-quorum would fail work the
+// cluster has committed to. Background covers anti-entropy, partition
+// transfer, epoch/economy and placement gossip — everything that
+// retries on its own schedule. Client kinds return gated=false: the
+// coordinator op they invoke runs the gate itself (so the embedded
+// in-process path is covered identically and nothing is gated twice).
 func kindPriority(kind string) (pri resilience.Priority, gated bool) {
 	switch kind {
 	case kindHeartbeat, kindJoin, kindMemberPull, kindMemberDelta,
-		kindPut, kindMultiGet, kindMultiPut:
+		kindMultiGet, kindMultiPut:
 		return resilience.Critical, true
 	case kindLeaves, kindFetchChunk, kindAdopt, kindDelta, kindDeltaPull,
 		kindAnnounce, kindRents:
@@ -766,17 +757,6 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 			resp.Members = append(resp.Members, rec)
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(resp)}, nil
-
-	case kindPut:
-		var p putReq
-		if err := decode(req.Payload, &p); err != nil {
-			return transport.Envelope{}, err
-		}
-		acc, err := n.eng.Put(storageKey(p.Ring, p.Key), p.Version)
-		if err != nil {
-			return transport.Envelope{}, err
-		}
-		return transport.Envelope{Kind: "ok", Payload: encode(putResp{Accepted: acc})}, nil
 
 	case kindMultiGet:
 		var m multiGetReq

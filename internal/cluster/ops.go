@@ -29,7 +29,7 @@ type GetResult struct {
 }
 
 // tailSendTimeout bounds the detached post-quorum fan-out sends in
-// callAll: long enough to ride out a slow replica, short enough that a
+// writeBatch: long enough to ride out a slow replica, short enough that a
 // dead one releases the goroutine and pooled connection promptly.
 const tailSendTimeout = 10 * time.Second
 
@@ -426,7 +426,8 @@ type partGroup struct {
 func (n *Node) groupByPartition(id ring.RingID, keys []string) []partGroup {
 	n.mu.RLock()
 	r := n.rings.Ring(id)
-	byPart := make(map[int]*partGroup)
+	var out []partGroup
+	byPart := make(map[int]int) // partition -> index into out
 	seen := make(map[string]bool, len(keys))
 	for _, key := range keys {
 		if seen[key] {
@@ -434,23 +435,20 @@ func (n *Node) groupByPartition(id ring.RingID, keys []string) []partGroup {
 		}
 		seen[key] = true
 		p := r.Lookup(ring.HashKey(key))
-		g, ok := byPart[p.ID]
+		i, ok := byPart[p.ID]
 		if !ok {
-			g = &partGroup{part: p.ID}
-			g.replicas = make([]string, len(p.Replicas))
-			for i, rid := range p.Replicas {
-				g.replicas[i] = n.nodeName(rid)
+			i = len(out)
+			byPart[p.ID] = i
+			g := partGroup{part: p.ID, replicas: make([]string, len(p.Replicas))}
+			for j, rid := range p.Replicas {
+				g.replicas[j] = n.nodeName(rid)
 			}
-			byPart[p.ID] = g
+			out = append(out, g)
 		}
-		g.keys = append(g.keys, key)
+		out[i].keys = append(out[i].keys, key)
 	}
 	n.mu.RUnlock()
-	out := make([]partGroup, 0, len(byPart))
-	for _, g := range byPart {
-		out = append(out, *g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].part < out[j].part })
+	slices.SortFunc(out, func(a, b partGroup) int { return a.part - b.part })
 	return out
 }
 
@@ -745,53 +743,19 @@ func (n *Node) stampClock(vctx vclock.VC) vclock.VC {
 
 // Put writes the value under a clock derived from the read context,
 // requiring the write quorum (or the per-request override) of live
-// replicas to acknowledge before the context deadline.
+// replicas to acknowledge before the context deadline. It is a one-item
+// writeBatch.
 func (n *Node) Put(ctx context.Context, id ring.RingID, key string, value []byte, vctx vclock.VC, opts WriteOptions) error {
 	defer n.opTel.hist(opPut, opts.Consistency).RecordSince(time.Now())
-	return n.write(ctx, id, key, store.Version{Value: value, Clock: n.stampClock(vctx)}, opts)
+	v := store.Version{Value: value, Clock: n.stampClock(vctx)}
+	return n.writeBatch(ctx, id, []string{key}, map[string]store.Version{key: v}, opts)
 }
 
 // Delete writes a tombstone derived from the read context.
 func (n *Node) Delete(ctx context.Context, id ring.RingID, key string, vctx vclock.VC, opts WriteOptions) error {
 	defer n.opTel.hist(opDel, opts.Consistency).RecordSince(time.Now())
-	return n.write(ctx, id, key, store.Version{Tombstone: true, Clock: n.stampClock(vctx)}, opts)
-}
-
-// write fans a version out to the partition's replicas.
-func (n *Node) write(ctx context.Context, id ring.RingID, key string, v store.Version, opts WriteOptions) error {
-	writeQ, err := n.writeQuorum(id, opts.Consistency)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	release, err := n.gate.Enter(ctx, resilience.Write)
-	if err != nil {
-		return err
-	}
-	defer release()
-	n.mu.RLock()
-	r := n.rings.Ring(id)
-	p := r.Lookup(ring.HashKey(key))
-	part := p.ID
-	n.mu.RUnlock()
-	replicas := n.replicasOf(p)
-	writeQ = n.quorumForGroup(writeQ, opts.Consistency, id, len(replicas), true)
-
-	n.countQueries(id, part, 1)
-
-	acks, err := n.fanoutPut(ctx, id, key, v, replicas, writeQ)
-	if err != nil {
-		return err
-	}
-	if acks < writeQ {
-		return fmt.Errorf("cluster: write quorum not met for %s/%s: %d/%d acks", id, key, acks, writeQ)
-	}
-	n.cacheWriteThrough(id, part, key, v, replicas)
-	return nil
+	v := store.Version{Tombstone: true, Clock: n.stampClock(vctx)}
+	return n.writeBatch(ctx, id, []string{key}, map[string]store.Version{key: v}, opts)
 }
 
 // cacheWriteThrough upserts an acknowledged coordinated write into the
@@ -812,16 +776,52 @@ func (n *Node) cacheWriteThrough(id ring.RingID, part int, key string, v store.V
 }
 
 // MultiPut writes a batch of entries in one coordinated operation. Every
-// alive replica node receives ONE multi-put envelope carrying all of its
-// partitions' entries: the remote sends start first, then the
-// coordinator writes its own share with one PutBatch (one WAL commit),
-// then the call waits until every partition has its write quorum (or the
-// per-request override) of acknowledgements from its own replicas. The
-// first partition short of its quorum fails the batch, by name. Sends
-// still in flight when the call returns complete detached from the
-// caller's context, as in callAll.
+// entry is versioned up front, one clock tick each; later duplicates of
+// a key win, matching the sequential-Put semantics of applying the batch
+// in order.
 func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, opts WriteOptions) error {
 	defer n.opTel.hist(opMPut, opts.Consistency).RecordSince(time.Now())
+	versions := make(map[string]store.Version, len(entries))
+	keys := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if _, ok := versions[e.Key]; !ok {
+			keys = append(keys, e.Key)
+		}
+		versions[e.Key] = store.Version{Value: e.Value, Clock: n.stampClock(e.Context)}
+	}
+	return n.writeBatch(ctx, id, keys, versions, opts)
+}
+
+// nodeShare is one alive replica node's part of a batched write: the
+// batch partitions (indexes into its groups) its one acknowledgement
+// counts toward, the items it stores, and their encoded multi-put
+// payload.
+type nodeShare struct {
+	name    string
+	parts   []int
+	items   []putItem
+	payload []byte
+}
+
+// writeBatch is the one replica write path, behind Put, Delete and
+// MultiPut. Keys are grouped by partition, and every alive replica node
+// receives ONE multi-put envelope carrying all of its partitions' items:
+// the remote sends start first, then the coordinator writes its own
+// share with one PutBatch (one WAL commit), then the call waits until
+// every partition has its write quorum (or the per-request override) of
+// acknowledgements from its own replicas. The first partition short of
+// its quorum fails the batch, by name. Nodes that host the same set of
+// the batch's partitions receive the same bytes, so a single-partition
+// batch — every single-key write — encodes its payload once.
+//
+// The sends run on a context detached from the caller's cancellation: a
+// write that returns at its ack threshold immediately runs its
+// withTimeout cancel (or the client cancels its context), and aborting
+// the still-in-flight tail sends at that moment would strand the
+// remaining replicas stale until anti-entropy finds them. Only the ack
+// wait honors the caller's context; the sends get their own bounded
+// deadline so a dead peer cannot pin the goroutines forever.
+func (n *Node) writeBatch(ctx context.Context, id ring.RingID, keys []string, versions map[string]store.Version, opts WriteOptions) error {
 	writeQ, err := n.writeQuorum(id, opts.Consistency)
 	if err != nil {
 		return err
@@ -836,29 +836,17 @@ func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, op
 		return err
 	}
 	defer release()
-	if len(entries) == 0 {
+	if len(keys) == 0 {
 		return nil
-	}
-
-	// Version every entry up front (one clock tick per entry), then
-	// bucket by partition. Later duplicates of a key win, matching the
-	// sequential-Put semantics of applying the batch in order.
-	versions := make(map[string]store.Version, len(entries))
-	keys := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if _, ok := versions[e.Key]; !ok {
-			keys = append(keys, e.Key)
-		}
-		versions[e.Key] = store.Version{Value: e.Value, Clock: n.stampClock(e.Context)}
 	}
 	groups := n.groupByPartition(id, keys)
 
-	// The ack ledger: need and acks per partition, and for each replica
-	// node the partitions its one acknowledgement counts toward.
+	// The ack ledger: need and acks per partition, and the share of every
+	// alive replica node, found by linear scan — a batch spans at most
+	// the cluster's nodes, and most span one partition's few replicas.
 	need := make([]int, len(groups))
 	acks := make([]int, len(groups))
-	hosts := make(map[string][]int)
-	byNode := make(map[string][]putItem)
+	shares := make([]nodeShare, 0, len(groups[0].replicas))
 	for i, g := range groups {
 		n.countQueries(id, g.part, len(g.keys))
 		need[i] = n.quorumForGroup(writeQ, opts.Consistency, id, len(g.replicas), true)
@@ -866,14 +854,20 @@ func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, op
 			if !n.alive(name) {
 				continue
 			}
-			hosts[name] = append(hosts[name], i)
+			j := slices.IndexFunc(shares, func(s nodeShare) bool { return s.name == name })
+			if j < 0 {
+				j = len(shares)
+				shares = append(shares, nodeShare{name: name})
+			}
+			s := &shares[j]
+			s.parts = append(s.parts, i)
 			for _, k := range g.keys {
-				byNode[name] = append(byNode[name], putItem{Key: k, Version: versions[k]})
+				s.items = append(s.items, putItem{Key: k, Version: versions[k]})
 			}
 		}
 	}
-	ack := func(name string) {
-		for _, i := range hosts[name] {
+	ack := func(j int) {
+		for _, i := range shares[j].parts {
 			acks[i]++
 		}
 	}
@@ -886,41 +880,51 @@ func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, op
 		return true
 	}
 
-	// The sends run on a context detached from the caller's cancellation,
-	// for the reason callAll gives.
 	sendCtx, cancelSends := context.WithTimeout(context.WithoutCancel(ctx), tailSendTimeout)
-	acked := make(chan string, len(byNode)) // the acknowledging node, "" for a failed send
+	acked := make(chan int, len(shares)) // the acknowledging share, -1 for a failed send
 	var sends sync.WaitGroup
-	for name, items := range byNode {
-		if name == n.self.Name {
+	self, remote := -1, 0
+	for j := range shares {
+		s := &shares[j]
+		if s.name == n.self.Name {
+			self = j
 			continue
 		}
+		for _, t := range shares[:j] {
+			if t.payload != nil && slices.Equal(t.parts, s.parts) {
+				s.payload = t.payload
+				break
+			}
+		}
+		if s.payload == nil {
+			s.payload = encode(multiPutReq{Ring: id, Items: s.items})
+		}
+		remote++
 		sends.Add(1)
-		go func(name string, items []putItem) {
+		go func(j int, name string, payload []byte) {
 			defer sends.Done()
 			info, _ := n.info(name)
-			env := transport.Envelope{Kind: kindMultiPut, Payload: encode(multiPutReq{Ring: id, Items: items})}
 			start := time.Now()
-			_, err := n.tr.Call(sendCtx, info.Addr, env)
+			_, err := n.tr.Call(sendCtx, info.Addr, transport.Envelope{Kind: kindMultiPut, Payload: payload})
 			n.breakers.Record(name, err, time.Since(start))
 			if err != nil {
-				name = ""
+				j = -1
 			}
-			acked <- name
-		}(name, items)
+			acked <- j
+		}(j, s.name, s.payload)
 	}
-	remote := len(byNode)
 	go func() { sends.Wait(); cancelSends() }()
-	if items, ok := byNode[n.self.Name]; ok {
-		remote--
-		if _, err := n.eng.PutBatch(storeItems(id, items)); err == nil {
-			ack(n.self.Name)
+	if self >= 0 {
+		if _, err := n.eng.PutBatch(storeItems(id, shares[self].items)); err == nil {
+			ack(self)
 		}
 	}
 	for ; remote > 0 && !met(); remote-- {
 		select {
-		case name := <-acked:
-			ack(name)
+		case j := <-acked:
+			if j >= 0 {
+				ack(j)
+			}
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -939,91 +943,6 @@ func (n *Node) MultiPut(ctx context.Context, id ring.RingID, entries []Entry, op
 		}
 	}
 	return nil
-}
-
-// fanoutPut stores the version on every named alive replica concurrently
-// and returns the ack count, waiting only until `need` acknowledgements
-// arrived (per-request ConsistencyOne really is the fast end of the
-// trade: remaining replicas receive the write asynchronously and their
-// outcomes are discarded). Cancellation while waiting returns the
-// context error; in-flight calls drain into a buffered channel.
-func (n *Node) fanoutPut(ctx context.Context, id ring.RingID, key string, v store.Version, replicas []string, need int) (int, error) {
-	acks := 0
-	var remotes []string
-	for _, name := range replicas {
-		if !n.alive(name) {
-			continue
-		}
-		if name == n.self.Name {
-			if _, err := n.eng.Put(storageKey(id, key), v); err == nil {
-				acks++
-			}
-			continue
-		}
-		remotes = append(remotes, name)
-	}
-	if len(remotes) == 0 {
-		return acks, nil
-	}
-	env := transport.Envelope{Kind: kindPut, Payload: encode(putReq{Ring: id, Key: key, Version: v})}
-	if len(remotes) == 1 && acks < need { // skip the pool for the common R=2 local-write case
-		info, _ := n.info(remotes[0])
-		start := time.Now()
-		_, err := n.tr.Call(ctx, info.Addr, env)
-		n.breakers.Record(remotes[0], err, time.Since(start))
-		if err == nil {
-			acks++
-		} else if ctxErr := ctx.Err(); ctxErr != nil {
-			return acks, ctxErr
-		}
-		return acks, nil
-	}
-	remoteAcks, err := n.callAll(ctx, remotes, env, need-acks)
-	return acks + remoteAcks, err
-}
-
-// callAll sends one envelope to every named peer concurrently and counts
-// successes, returning as soon as `need` of them acknowledged (or every
-// peer responded, or the context fired). Late responses — and the sends
-// themselves, when need is already met — complete asynchronously into
-// the buffered channel, so nothing leaks and every peer still receives
-// the envelope.
-//
-// The sends run on a context detached from the caller's cancellation:
-// a write request that returns at its ack threshold immediately runs its
-// withTimeout cancel (or the client cancels its context), and aborting
-// the still-in-flight tail sends at that moment would strand the
-// remaining replicas stale until anti-entropy finds them. Only the
-// ack-wait loop below honors the caller's context; the sends get their
-// own bounded deadline so a dead peer cannot pin the goroutines forever.
-func (n *Node) callAll(ctx context.Context, peers []string, env transport.Envelope, need int) (int, error) {
-	sendCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), tailSendTimeout)
-	done := make(chan bool, len(peers))
-	var sends sync.WaitGroup
-	sends.Add(len(peers))
-	for _, name := range peers {
-		go func(name string) {
-			defer sends.Done()
-			info, _ := n.info(name)
-			start := time.Now()
-			_, err := n.tr.Call(sendCtx, info.Addr, env)
-			n.breakers.Record(name, err, time.Since(start))
-			done <- err == nil
-		}(name)
-	}
-	go func() { sends.Wait(); cancel() }()
-	acks := 0
-	for i := 0; i < len(peers) && acks < need; i++ {
-		select {
-		case ok := <-done:
-			if ok {
-				acks++
-			}
-		case <-ctx.Done():
-			return acks, ctx.Err()
-		}
-	}
-	return acks, nil
 }
 
 // countQueries accounts queries against the vnode hosting the partition

@@ -178,8 +178,8 @@ func TestTailFanoutSurvivesPostQuorumCancel(t *testing.T) {
 	t.Cleanup(func() { mesh.Close() })
 
 	// Find a coordinator and key whose plat-ring replica set excludes the
-	// coordinator: all 3 replicas are remote, so the write goes through
-	// callAll.
+	// coordinator: all 3 replicas are remote, so every ack of the write
+	// comes from a detached multi-put send.
 	var coord *Node
 	var slow *delayTo
 	var key string

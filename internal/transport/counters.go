@@ -10,8 +10,7 @@ import (
 // traffic is in flight. cmd/skuted exposes them on GET /counters next
 // to the control-plane and durability counters.
 type Counters struct {
-	// Dials counts established outbound connections (pooled and
-	// fresh-dial alike).
+	// Dials counts established outbound connections.
 	Dials metrics.Counter
 	// Reuses counts calls served by an already pooled connection — the
 	// dials the pool saved.

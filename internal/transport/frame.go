@@ -122,9 +122,7 @@ func newStreamCodec(conn net.Conn) *streamCodec {
 	}
 }
 
-// writeFrame encodes and sends one frame before the deadline (a zero
-// deadline leaves the connection's current deadline untouched — the
-// fresh-dial path manages it around its cancellation hook). Except for
+// writeFrame encodes and sends one frame before the deadline. Except for
 // *frameSizeError (validation, nothing written), a failed write leaves
 // a partial frame on the wire, so callers must treat it as a broken
 // connection.
@@ -160,10 +158,8 @@ func (sc *streamCodec) writeFrame(f *frame, deadline time.Time) error {
 	off += copy(b[off:], f.Kind)
 	off += copy(b[off:], f.Err)
 	copy(b[off:], f.Payload)
-	if !deadline.IsZero() {
-		if err := sc.conn.SetWriteDeadline(deadline); err != nil {
-			return err
-		}
+	if err := sc.conn.SetWriteDeadline(deadline); err != nil {
+		return err
 	}
 	if _, err := sc.bw.Write(b); err != nil {
 		return err

@@ -51,10 +51,6 @@ type TCP struct {
 	// IdleTimeout is how long a pooled connection may sit idle before
 	// the reaper closes it (default 60s).
 	IdleTimeout time.Duration
-	// DisablePooling makes every Call dial a fresh connection, exchange
-	// one frame and close — the pre-pooling behavior, kept as the
-	// measured baseline for the wire-path benchmarks.
-	DisablePooling bool
 	// Retry paces the re-send of calls whose pooled connection broke
 	// mid-exchange: exponential backoff with full jitter (so a mass
 	// connection break cannot re-converge into a synchronized retry
@@ -296,9 +292,6 @@ func (t *TCP) Call(ctx context.Context, addr string, req Envelope) (Envelope, er
 	if t.rtt != nil { // nil only for a hand-rolled struct literal
 		defer t.rtt.RecordSince(time.Now())
 	}
-	if t.DisablePooling {
-		return t.callFreshDial(ctx, addr, req)
-	}
 	p, err := t.getPool()
 	if err != nil {
 		return Envelope{}, err
@@ -329,49 +322,6 @@ func (t *TCP) Call(ctx context.Context, addr string, req Envelope) (Envelope, er
 		}
 		return env, err
 	}
-}
-
-// callFreshDial is the unpooled baseline: dial, one framed exchange,
-// close. Each call pays the dial and the per-connection gob type
-// descriptors — exactly the cost profile of the old wire protocol.
-func (t *TCP) callFreshDial(ctx context.Context, addr string, req Envelope) (Envelope, error) {
-	conn, err := t.dial(ctx, addr)
-	if err != nil {
-		return Envelope{}, err
-	}
-	defer conn.Close()
-	ioDeadline := time.Now().Add(t.callTimeout())
-	if d, ok := ctx.Deadline(); ok {
-		ioDeadline = d
-	}
-	if err := conn.SetDeadline(ioDeadline); err != nil {
-		return Envelope{}, err
-	}
-	// Cancellation mid-exchange: expire the connection deadline so any
-	// blocked read/write returns immediately. Registered after the
-	// deadline above so a context that fires concurrently cannot have
-	// its immediate deadline overwritten — writeFrame is passed the
-	// zero deadline so it leaves the connection deadline alone.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	sc := newStreamCodec(conn)
-	if err := sc.writeFrame(&frame{ID: 1, Kind: req.Kind, Payload: req.Payload}, time.Time{}); err != nil {
-		if ctxErr := ctxError(ctx); ctxErr != nil {
-			return Envelope{}, ctxErr
-		}
-		return Envelope{}, fmt.Errorf("transport: encode to %s: %w", addr, err)
-	}
-	var resp frame
-	if err := sc.readFrame(&resp); err != nil {
-		if ctxErr := ctxError(ctx); ctxErr != nil {
-			return Envelope{}, ctxErr
-		}
-		return Envelope{}, fmt.Errorf("transport: decode from %s: %w", addr, err)
-	}
-	if resp.Code != 0 {
-		return Envelope{}, CodeToError(ErrorCode(resp.Code), resp.Err)
-	}
-	return Envelope{Kind: resp.Kind, Payload: resp.Payload}, nil
 }
 
 // ctxError reports why the context ended an exchange. The socket

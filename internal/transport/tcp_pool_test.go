@@ -493,32 +493,3 @@ func TestTCPOversizedFramesDontBreakConn(t *testing.T) {
 		t.Fatalf("call after unwritable response: %v", err)
 	}
 }
-
-// TestTCPFreshDialBaseline: the DisablePooling mode (the benchmark
-// baseline) still works end-to-end and never pools.
-func TestTCPFreshDialBaseline(t *testing.T) {
-	srv := NewTCP()
-	defer srv.Close()
-	if err := srv.Serve("127.0.0.1:0", echoHandler("S")); err != nil {
-		t.Fatal(err)
-	}
-	cli := NewTCP()
-	cli.DisablePooling = true
-	defer cli.Close()
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		resp, err := cli.Call(ctx, srv.Addrs()[0], Envelope{Kind: "k", Payload: []byte("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(resp.Payload) != "S:x" {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-	if dials := cli.Counters().Dials.Value(); dials != 5 {
-		t.Errorf("fresh-dial mode used %d dials for 5 calls, want 5", dials)
-	}
-	if size := cli.PoolSize(); size != 0 {
-		t.Errorf("fresh-dial mode pooled %d conns", size)
-	}
-}
