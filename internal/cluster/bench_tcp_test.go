@@ -27,16 +27,24 @@ func benchTCPCluster(b *testing.B) ([]*Node, *Client, ring.RingID) {
 func benchTCPClusterWrapped(b *testing.B, wrap0 func(transport.Transport) transport.Transport) ([]*Node, *Client, ring.RingID) {
 	b.Helper()
 	const servers = 6
+	// Every probe listener stays open until all addresses are picked: a
+	// probe closed early lets the kernel hand its port out again.
+	// Every probe stays open until all addresses are picked: a probe
+	// closed early lets the kernel hand its port out again, and two
+	// nodes then collide on one address.
 	addrs := make([]string, servers)
+	probes := make([]*transport.TCP, servers)
 	for i := range addrs {
-		probe := transport.NewTCP()
-		if err := probe.Serve("127.0.0.1:0", func(context.Context, transport.Envelope) (transport.Envelope, error) {
+		probes[i] = transport.NewTCP()
+		if err := probes[i].Serve("127.0.0.1:0", func(context.Context, transport.Envelope) (transport.Envelope, error) {
 			return transport.Envelope{}, fmt.Errorf("not ready")
 		}); err != nil {
 			b.Fatal(err)
 		}
-		addrs[i] = probe.Addrs()[0]
-		probe.Close()
+		addrs[i] = probes[i].Addrs()[0]
+	}
+	for _, p := range probes {
+		p.Close()
 	}
 
 	cfg := Config{

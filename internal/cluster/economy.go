@@ -81,7 +81,11 @@ func (n *Node) fetchRents(ctx context.Context) (map[string]float64, string, erro
 	if err := decode(resp.Payload, &rr); err != nil {
 		return nil, board, err
 	}
-	return rr.Rents, board, nil
+	rents := make(map[string]float64, len(rr.Rents))
+	for _, r := range rr.Rents {
+		rents[r.Node] = r.Rent
+	}
+	return rents, board, nil
 }
 
 // RunEconomicEpoch closes the epoch on this node: it runs the Section

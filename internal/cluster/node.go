@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +62,9 @@ const (
 	kindClientMembers = "client-members"
 )
 
-// Wire payloads (gob encoded inside transport.Envelope.Payload via the
-// pooled codec sessions in codec.go).
+// Wire payloads, carried in transport.Envelope.Payload. The data-plane
+// payloads (keys, values, clocks) are hand-encoded (handcodec.go); the
+// rest ride the pooled gob sessions of codec.go.
 type (
 	heartbeatReq struct {
 		From string
@@ -69,7 +72,7 @@ type (
 		// fingerprints on every heartbeat; a receiver whose own digest
 		// disagrees pulls the sender's deltas (gossip anti-entropy for
 		// the control plane).
-		Digest placement.Digest
+		Digest []ringSum
 		// Member is the sender's own membership record, so a receiver
 		// that has never heard of the sender (a fresh joiner beating
 		// before its join record gossiped this far) learns its metadata
@@ -160,7 +163,18 @@ type (
 		Rent float64
 	}
 	rentsResp struct {
-		Rents map[string]float64
+		Rents []nodeRent // sorted by node
+	}
+	nodeRent struct {
+		Node string
+		Rent float64
+	}
+	// ringSum is one ring's placement fingerprint. A placement.Digest
+	// travels as a slice of them sorted by ring, because no gob wire
+	// type may hold a map (see codec.go).
+	ringSum struct {
+		Ring ring.RingID
+		Sum  uint64
 	}
 	deltaReq struct {
 		Deltas []placement.Delta
@@ -168,7 +182,7 @@ type (
 	deltaPullReq struct {
 		// Digest is the puller's own per-ring fingerprints; the serving
 		// node answers with its entries for every mismatched ring.
-		Digest placement.Digest
+		Digest []ringSum
 	}
 	deltaPullResp struct {
 		Deltas []placement.Delta
@@ -574,7 +588,7 @@ func storageKey(id ring.RingID, key string) string {
 func (n *Node) SendHeartbeats(ctx context.Context) {
 	env := transport.Envelope{Kind: kindHeartbeat, Payload: encode(heartbeatReq{
 		From:    n.self.Name,
-		Digest:  n.pmap.Digest(),
+		Digest:  wireDigest(n.pmap.Digest()),
 		Member:  n.mt.SelfDelta(),
 		MDigest: n.mt.Digest(),
 	})}
@@ -692,7 +706,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		// the merge safe in both directions; if WE hold the newer
 		// entries, the sender converges when our own next heartbeat
 		// reaches it.
-		if dg := n.pmap.Digest(); len(dg.Mismatch(hb.Digest)) > 0 {
+		if dg := n.pmap.Digest(); len(dg.Mismatch(digestOf(hb.Digest))) > 0 {
 			_, _ = n.reconcileWith(ctx, hb.From, dg) // best effort; the next beat retries
 		}
 		// Same exchange for the member table: a digest mismatch pulls the
@@ -816,7 +830,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		var resp deltaPullResp
 		// Deltas() with no ring filter would export everything; an
 		// empty mismatch must answer with nothing instead.
-		if mismatched := n.pmap.Digest().Mismatch(pq.Digest); len(mismatched) > 0 {
+		if mismatched := n.pmap.Digest().Mismatch(digestOf(pq.Digest)); len(mismatched) > 0 {
 			resp.Deltas = n.pmap.Deltas(mismatched...)
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(resp)}, nil
@@ -833,11 +847,12 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 
 	case kindRents:
 		n.mu.RLock()
-		out := make(map[string]float64, len(n.rents))
+		out := make([]nodeRent, 0, len(n.rents))
 		for k, v := range n.rents {
-			out[k] = v
+			out = append(out, nodeRent{Node: k, Rent: v})
 		}
 		n.mu.RUnlock()
+		slices.SortFunc(out, func(a, b nodeRent) int { return strings.Compare(a.Node, b.Node) })
 		return transport.Envelope{Kind: "ok", Payload: encode(rentsResp{Rents: out})}, nil
 
 	case kindClientGet:
@@ -1121,7 +1136,7 @@ func (n *Node) reconcileWith(ctx context.Context, peer string, digest placement.
 	}
 	resp, err := n.tr.Call(ctx, info.Addr, transport.Envelope{
 		Kind:    kindDeltaPull,
-		Payload: encode(deltaPullReq{Digest: digest}),
+		Payload: encode(deltaPullReq{Digest: wireDigest(digest)}),
 	})
 	if err != nil {
 		return 0, err

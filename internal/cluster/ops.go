@@ -510,8 +510,9 @@ func (n *Node) readReplica(ctx context.Context, name string, env transport.Envel
 	}
 	var mr multiGetResp
 	derr := decode(resp.Payload, &mr)
-	// decode copied every byte out (gob never aliases its input), so the
-	// frame's staging buffer can go back to the transport.
+	// decode copied every byte out (no decoded value aliases the
+	// payload), so the frame's staging buffer can go back to the
+	// transport.
 	transport.RecyclePayload(resp.Payload)
 	if derr != nil {
 		return replicaResp{name: name}

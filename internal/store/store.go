@@ -69,6 +69,8 @@ const shardCount = 32
 type shard struct {
 	mu   sync.RWMutex
 	data map[string][]Version
+	// tombs counts the keys of data whose versions are all tombstones.
+	tombs int
 	// bytes is updated under mu but read lock-free by Engine.Bytes.
 	bytes atomic.Int64
 }
@@ -245,7 +247,7 @@ func (e *Engine) loadSnapshot(blobs [][]byte) error {
 	for _, m := range maps {
 		for k, vs := range m {
 			s := e.shardOf(k)
-			s.data[k] = vs
+			s.set(k, vs)
 			var b int64
 			for _, v := range vs {
 				b += int64(len(v.Value))
@@ -555,7 +557,7 @@ func (s *shard) apply(key string, v Version, copyIn bool) bool {
 	}
 	kept = append(kept, v)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Clock.String() < kept[j].Clock.String() })
-	s.data[key] = kept
+	s.set(key, kept)
 	s.bytes.Add(int64(len(v.Value)))
 	return true
 }
@@ -600,9 +602,33 @@ func (s *shard) drop(key string) (freed int64, existed bool) {
 	for _, v := range vs {
 		freed += int64(len(v.Value))
 	}
+	if deleted(vs) {
+		s.tombs--
+	}
 	delete(s.data, key)
 	s.bytes.Add(-freed)
 	return freed, existed
+}
+
+// set replaces the key's versions and keeps tombs; caller holds mu.
+func (s *shard) set(key string, vs []Version) {
+	if deleted(s.data[key]) {
+		s.tombs--
+	}
+	if deleted(vs) {
+		s.tombs++
+	}
+	s.data[key] = vs
+}
+
+// deleted reports whether a key's versions are all tombstones.
+func deleted(vs []Version) bool {
+	for _, v := range vs {
+		if !v.Tombstone {
+			return false
+		}
+	}
+	return len(vs) > 0
 }
 
 // MergeSiblings folds a set of versions gathered from several replicas
@@ -654,7 +680,20 @@ func (e *Engine) Len() int {
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.RLock()
-		n += len(s.data)
+		n += len(s.data) - s.tombs
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// Tombstones returns the number of deleted keys whose tombstones are
+// still kept for causality.
+func (e *Engine) Tombstones() int {
+	n := 0
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.mu.RLock()
+		n += s.tombs
 		s.mu.RUnlock()
 	}
 	return n

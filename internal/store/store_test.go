@@ -32,6 +32,29 @@ func TestPutGetBasic(t *testing.T) {
 	}
 }
 
+// TestLenCountsLiveKeys: Len counts live keys only; a deleted key keeps
+// its tombstone for causality and is counted by Tombstones instead. A
+// concurrent live sibling keeps a key live, and a drop forgets it.
+func TestLenCountsLiveKeys(t *testing.T) {
+	e := NewMemory()
+	for i := range 100 {
+		e.Put(fmt.Sprint("k", i), ver("v", vclock.VC{"a": 1}))
+	}
+	for i := range 40 {
+		e.Put(fmt.Sprint("k", i), Version{Tombstone: true, Clock: vclock.VC{"a": 2}})
+	}
+	if e.Len() != 60 || e.Tombstones() != 40 {
+		t.Fatalf("Len/Tombstones = %d/%d, want 60/40", e.Len(), e.Tombstones())
+	}
+	e.Put("k0", ver("sibling", vclock.VC{"b": 1})) // concurrent with the tombstone
+	e.Put("k1", ver("back", vclock.VC{"a": 3}))    // supersedes it
+	e.Drop("k2")
+	e.Drop("k50")
+	if e.Len() != 61 || e.Tombstones() != 37 {
+		t.Fatalf("after revive and drop: Len/Tombstones = %d/%d, want 61/37", e.Len(), e.Tombstones())
+	}
+}
+
 func TestCausalOverwrite(t *testing.T) {
 	e := NewMemory()
 	e.Put("k", ver("old", vclock.VC{"a": 1}))

@@ -21,9 +21,9 @@ import (
 // responses interleave freely, and a slow response never head-of-line
 // blocks a fast one behind it. The header is hand-encoded — no
 // reflection, no per-call type descriptors — and the opaque payload
-// rides as raw bytes (the cluster layer's pooled codec sessions keep
-// gob's type descriptors out of the per-call payload too; see
-// internal/cluster).
+// rides as raw bytes (internal/cluster encodes it: data-plane payloads
+// by hand in this same idiom, control-plane ones through pooled gob
+// sessions).
 const (
 	// flagResponse marks a response frame; requests have no flags.
 	flagResponse = 1 << 0
@@ -68,7 +68,7 @@ func newPayloadBuf(n int) []byte {
 
 // RecyclePayload returns a payload buffer to the staging pool. The
 // transport calls it for every request payload once its handler returns;
-// clients that fully consume a response payload (the cluster layer's gob
+// clients that fully consume a response payload (the cluster layer's
 // decode copies every byte out) may call it too, turning the per-frame
 // payload copy into a pool hit. Callers must not touch the slice
 // afterwards. Recycling a slice the pool never produced is harmless —

@@ -19,10 +19,11 @@ import (
 // many in-flight calls share one socket and a slow response never
 // head-of-line blocks a fast one. The frame header is hand-encoded —
 // the per-call gob type descriptors of the old wire are gone entirely
-// (the cluster layer's pooled codec sessions keep them out of the
-// payload as well). The server side dispatches every frame to its
-// handler on its own goroutine, so a slow quorum read does not delay a
-// heartbeat arriving on the same connection.
+// (the cluster layer hand-encodes its data-plane payloads and keeps
+// descriptors out of its gob control-plane payloads). The server side
+// dispatches every frame to its handler on its own goroutine, so a slow
+// quorum read does not delay a heartbeat arriving on the same
+// connection.
 //
 // The pool is bounded per address (MaxConnsPerAddr), reaps idle
 // connections (IdleTimeout), evicts broken ones, and coalesces
@@ -194,8 +195,9 @@ func (t *TCP) serveConn(conn net.Conn, h Handler) {
 
 	// Dispatch through a per-connection pool of reused worker
 	// goroutines instead of one fresh goroutine per frame: handler
-	// stacks (gob decode runs deep) stay warm across requests, which
-	// profiling showed removes the stack-growth cost from the hot path.
+	// stacks (a quorum coordination nests several calls deep) stay
+	// warm across requests, which profiling showed removes the
+	// stack-growth cost from the hot path.
 	// A new worker spawns whenever the outstanding (enqueued but not
 	// finished) frame count exceeds the worker count — `outstanding` is
 	// incremented only here and decremented only after a handler

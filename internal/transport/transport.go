@@ -8,11 +8,12 @@
 // hand-encoded, length-prefixed binary frames carrying a request ID
 // over a bounded per-address connection pool, and the server dispatches
 // every frame concurrently — see frame.go, pool.go and DESIGN.md, "The
-// wire". No gob runs at the transport layer at all; the payload codec's
-// long-lived gob sessions live in internal/cluster (descriptors once
-// per session, not once per call). Handler errors cross the wire as
-// typed codes (errcode.go), so sentinels like ErrUnreachable and
-// context cancellation survive errors.Is on the far side.
+// wire". No gob runs at the transport layer at all; the payload codecs
+// live in internal/cluster (data-plane payloads hand-encoded,
+// control-plane ones through long-lived gob sessions). Handler errors
+// cross the wire as typed codes (errcode.go), so sentinels like
+// ErrUnreachable and context cancellation survive errors.Is on the far
+// side.
 //
 // Every Call carries a context.Context: cancellation or a deadline on
 // the caller's side aborts the exchange (for TCP, the context deadline
@@ -29,7 +30,7 @@ import (
 )
 
 // Envelope is the unit of exchange: a kind tag and an opaque payload the
-// cluster layer encodes with gob.
+// cluster layer encodes.
 type Envelope struct {
 	Kind    string
 	Payload []byte
@@ -40,8 +41,8 @@ type Envelope struct {
 // per-connection context for TCP. The request payload is only valid for
 // the duration of the call: the TCP server returns its staging buffer to
 // a pool once the handler completes (see RecyclePayload), so handlers
-// must copy any payload bytes they need to retain — decoding with gob
-// does that inherently.
+// must copy any payload bytes they need to retain — the cluster layer's
+// decode does that inherently.
 type Handler func(ctx context.Context, req Envelope) (Envelope, error)
 
 // Transport connects named endpoints.
