@@ -5,12 +5,14 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,16 +22,21 @@ import (
 	"skute/internal/placement"
 	"skute/internal/ring"
 	"skute/internal/store"
+	"skute/internal/transport"
 	"skute/internal/vclock"
 )
 
-// handSamples builds one representative (non-zero) value per
-// hand-coded payload type, in tag order.
-func handSamples() []any {
+// codecSamples builds one representative (non-zero) value per payload
+// type, in tag order. Every map holds at most one entry, so each sample
+// has exactly one encoding: testdata/payload pins it.
+func codecSamples() []any {
 	id := ring.RingID{App: "app1", Class: "gold"}
-	ver := store.Version{Value: []byte("v1"), Clock: vclock.VC{"n0": 3, "n1": 1}}
+	ver := store.Version{Value: []byte("v1"), Clock: vclock.VC{"n0": 3}}
 	tomb := store.Version{Clock: vclock.VC{"n2": 1 << 40}, Tombstone: true}
 	items := []kv{{Key: "k", Versions: []store.Version{ver, tomb}}, {Key: "empty"}}
+	info := membership.Info{Name: "n0", Addr: "10.0.0.1:7101", LocPath: "eu/ch/dc0/r0/k0/s0", Confidence: 0.99, MonthlyRent: 100, Capacity: 16 << 30, QueryCapacity: 10000}
+	member := membership.Delta{Info: info, State: membership.Suspect, Incarnation: 3}
+	pdelta := placement.Delta{Ring: id, Part: 3, Replicas: []string{"n0", "n1"}, Version: 7, Origin: "n1"}
 	return []any{
 		multiGetReq{Ring: id, Keys: []string{"a", "b", "c"}},
 		multiGetResp{Items: items},
@@ -41,176 +48,182 @@ func handSamples() []any {
 		clientMGetResp{Items: []clientKV{{Key: "x", Values: [][]byte{[]byte("1")}, Context: map[string]uint64{"n0": 1}}, {Key: "y"}}},
 		clientMPutReq{Ring: id, Entries: []Entry{{Key: "a", Value: []byte("x"), Context: vclock.VC{"n2": 4}}}, Timeout: time.Second},
 		fetchChunkResp{Items: items, Next: "k", Done: true},
-	}
-}
-
-// codecSamples builds one representative value per gob payload type
-// that carries a count, then every hand-coded sample. Parent and child of
-// the cross-process test construct the identical list.
-func codecSamples() []any {
-	id := ring.RingID{App: "app1", Class: "gold"}
-	gobs := []any{
-		heartbeatReq{From: "n0", Digest: []ringSum{{Ring: id, Sum: 7}}, MDigest: 3},
-		deltaReq{Deltas: []placement.Delta{{Ring: id, Part: 3, Version: 7, Origin: "n1", Replicas: []string{"n0", "n1"}}}},
-		deltaPullReq{Digest: []ringSum{{Ring: id, Sum: 1}, {Ring: ring.RingID{App: "app2"}, Sum: 2}}},
-		rentsResp{Rents: []nodeRent{{Node: "n0", Rent: 100}, {Node: "n1", Rent: 150.5}}},
-		memberDeltaReq{Deltas: []membership.Delta{{Info: membership.Info{Name: "n0", Addr: "a:1", Confidence: 1}, Incarnation: 2}}},
+		heartbeatReq{From: "n0", Digest: placement.Digest{id: 7}, Member: member, MDigest: 1 << 63},
+		heartbeatResp{Member: member},
+		leavesReq{Ring: id, Part: 5, Root: []byte{0xde, 0xad}},
 		leavesResp{Keys: []string{"a"}, Hashes: [][]byte{{1, 2, 3}}},
+		adoptReq{Ring: id, Part: 2, FromAddr: "10.0.0.2:7102"},
+		announceReq{Node: "n1", Rent: 150.5},
+		rentsResp{Rents: []nodeRent{{Node: "n0", Rent: 100}, {Node: "n1", Rent: 150.5}}},
+		deltaReq{Deltas: []placement.Delta{pdelta}},
+		deltaPullReq{Digest: placement.Digest{{App: "app2"}: 2}},
+		deltaPullResp{Deltas: []placement.Delta{pdelta, {Ring: id}}},
+		joinReq{Info: info},
+		joinResp{Assigned: 4, Members: []membership.Delta{member}, Rings: []RingSpec{{App: "app1", Class: "gold", Partitions: 8, Replicas: 3}},
+			Placement: []placement.Delta{pdelta}, ReadQuorum: 2, WriteQuorum: 2, SuspectAfter: 10 * time.Second, DeadAfter: 30 * time.Second},
+		memberPullReq{Digest: 42},
+		memberPullResp{Deltas: []membership.Delta{member}},
+		memberDeltaReq{Deltas: []membership.Delta{member, {Info: membership.Info{Name: "n1"}, State: membership.Dead}}},
+		fetchChunkReq{Ring: id, Part: 1, After: "app1/gold/k", MaxItems: 256},
+		clientMembersResp{Members: []MemberRecord{{Name: "n0", Addr: "10.0.0.1:7101", State: "alive", Incarnation: 2, Confirmed: true, AgeMillis: 1500}}},
 	}
-	return append(gobs, handSamples()...)
 }
 
-// TestPayloadCodecRoundTrip: every wire payload type round-trips through
-// its codec, zero value and sample alike, and a payload of the wrong
-// codec or with a 0x00 marker is a codec mismatch.
+// roundTrip decodes the encoding of v into a fresh value of its type.
+func roundTrip(v any) (any, error) {
+	out := newPtr(v)
+	err := decode(encode(v.(wireMarshaler)), out)
+	return reflect.ValueOf(out).Elem().Interface(), err
+}
+
+// TestPayloadCodecRoundTrip: every payload type round-trips, zero value
+// and sample alike, to what a gob round trip gives; a foreign marker or
+// a wrong tag is a codec mismatch, and a trailing byte fails.
 func TestPayloadCodecRoundTrip(t *testing.T) {
-	var zeros []any
-	for _, s := range handSamples() {
-		zeros = append(zeros, reflect.Zero(reflect.TypeOf(s)).Interface())
-	}
-	for _, v := range append(append(zeros, wirePayloadPrototypes...), codecSamples()...) {
-		out := newPtr(v)
-		if err := decode(encode(v), out); err != nil {
-			t.Errorf("round-trip %T: %v", v, err)
-			continue
+	samples := codecSamples()
+	for _, s := range samples {
+		for _, v := range []any{reflect.Zero(reflect.TypeOf(s)).Interface(), s} {
+			got, err := roundTrip(v)
+			if err != nil {
+				t.Errorf("round-trip %T: %v", v, err)
+				continue
+			}
+			if want := gobRoundTrip(t, v); !reflect.DeepEqual(got, want) {
+				t.Errorf("round-trip %T: got %+v, want %+v", v, got, want)
+			}
 		}
-		if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(got, gobRoundTrip(t, v)) {
-			t.Errorf("round-trip %T: got %+v, want %+v", v, got, v)
-		}
 	}
-	hand := encode(clientPutReq{Key: "k"})
-	gobbed := encode(heartbeatReq{From: "n0"})
+	p := encode(clientPutReq{Key: "k"})
 	for name, c := range map[string]struct {
 		p  []byte
-		to any
+		to wireUnmarshaler
 	}{
-		"gob payload to a hand-coded type": {gobbed, &clientPutReq{}},
-		"hand payload to a gob type":       {hand, &heartbeatReq{}},
-		"wrong tag":                        {hand, &clientGetReq{}},
-		"0x00 marker":                      {append([]byte{0x00}, hand[1:]...), &clientPutReq{}},
-		"0x00 marker to a gob type":        {append([]byte{0x00}, gobbed[1:]...), &heartbeatReq{}},
+		"wrong tag":            {p, &clientGetReq{}},
+		"0x00 marker":          {append([]byte{0x00}, p[1:]...), &clientPutReq{}},
+		"retired gob marker":   {append([]byte{0x80 | 0x2a}, p[1:]...), &clientPutReq{}},
+		"data to control":      {p, &heartbeatReq{}},
+		"control to data":      {encode(heartbeatReq{From: "n0"}), &clientPutReq{}},
+		"control to control":   {encode(memberPullReq{Digest: 1}), &memberDeltaReq{}},
+		"empty tag after mark": {[]byte{payloadMarker}, &leavesReq{}},
 	} {
 		if err := decode(c.p, c.to); err == nil || !strings.Contains(err.Error(), "codec mismatch") {
 			t.Errorf("%s: err = %v, want a codec mismatch", name, err)
 		}
 	}
-	if err := decode(append(encode(clientGetReq{Key: "k"}), 0), &clientGetReq{}); err == nil {
-		t.Error("hand decode accepted a trailing byte")
+	for _, s := range samples {
+		if err := decode(append(encode(s.(wireMarshaler)), 0), newPtr(s)); err == nil {
+			t.Errorf("%T: decode accepted a trailing byte", s)
+		}
 	}
-	if err := decode(append(encode(heartbeatReq{From: "n0"}), 0), &heartbeatReq{}); err == nil {
-		t.Error("gob decode accepted a trailing byte")
+	if err := decode(nil, &heartbeatReq{}); err == nil {
+		t.Error("decode accepted an empty payload")
 	}
 }
 
-// TestHandCodedTypesLeftGob: the hand-coded types implement both
-// halves of the hand codec, and the pinned gob registry lists none of
-// them.
-func TestHandCodedTypesLeftGob(t *testing.T) {
-	for _, s := range handSamples() {
-		if _, ok := newPtr(s).(wireUnmarshaler); !ok {
-			t.Errorf("%T marshals by hand but its pointer has no unmarshalWire", s)
-		}
+// TestGoldenPayloads pins the wire format: testdata/payload holds one
+// encoding per payload type (the data-plane ones written by the encoder
+// that introduced their tags), and each must decode to its sample and
+// re-encode byte for byte. A layout change fails here, not between
+// binaries of two versions.
+func TestGoldenPayloads(t *testing.T) {
+	samples := codecSamples()
+	files, err := filepath.Glob(filepath.Join("testdata", "payload", "*.hex"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range wirePayloadPrototypes {
-		if _, ok := p.(wireMarshaler); ok {
-			t.Errorf("hand-coded %T is still in wirePayloadPrototypes", p)
-		}
+	if len(files) != len(samples) {
+		t.Errorf("testdata/payload holds %d encodings, want one per payload type (%d)", len(files), len(samples))
 	}
-}
-
-// TestGobWireTypesHoldNoMap: gob sizes a map from the count the payload
-// claims, so no gob wire type may hold one at any depth; scanGob also
-// needs every struct field exported, as gob numbers only those.
-func TestGobWireTypesHoldNoMap(t *testing.T) {
-	var walk func(path string, t reflect.Type) []string
-	walk = func(path string, typ reflect.Type) []string {
-		switch typ.Kind() {
-		case reflect.Map:
-			return []string{path + " is a map"}
-		case reflect.Slice, reflect.Array, reflect.Pointer:
-			return walk(path+"[]", typ.Elem())
-		case reflect.Struct:
-			var bad []string
-			for i := range typ.NumField() {
-				f := typ.Field(i)
-				if !f.IsExported() {
-					bad = append(bad, path+"."+f.Name+" is unexported")
-					continue
-				}
-				bad = append(bad, walk(path+"."+f.Name, f.Type)...)
-			}
-			return bad
+	for _, s := range samples {
+		name := reflect.TypeOf(s).Name()
+		raw, err := os.ReadFile(filepath.Join("testdata", "payload", name+".hex"))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
 		}
-		return nil
-	}
-	for _, p := range wirePayloadPrototypes {
-		for _, b := range walk(reflect.TypeOf(p).String(), reflect.TypeOf(p)) {
-			t.Error(b)
+		want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := newPtr(s)
+		if err := decode(want, got); err != nil {
+			t.Errorf("%s: golden bytes no longer decode: %v", name, err)
+			continue
+		}
+		if v := reflect.ValueOf(got).Elem().Interface(); !reflect.DeepEqual(v, s) {
+			t.Errorf("%s: golden bytes decode to %+v, want %+v", name, v, s)
+		}
+		if p := encode(s.(wireMarshaler)); !bytes.Equal(p, want) {
+			t.Errorf("%s: encodes to %x, golden is %x", name, p, want)
 		}
 	}
 }
 
-// claimUvarint and claimGob are 10⁶ as a uvarint (hand codec) and as a
-// gob uint.
-var (
-	claimUvarint = []byte{0xc0, 0x84, 0x3d}
-	claimGob     = []byte{0xfd, 0x0f, 0x42, 0x40}
-)
+// claimUvarint is 10⁶ as a uvarint.
+var claimUvarint = []byte{0xc0, 0x84, 0x3d}
 
-// TestDecodeBoundsClaimedCounts: a payload under 64 bytes whose count
-// claims 10⁶ entries fails, and decoding it allocates under 64 KiB.
-// Before the bounds rule, a 40-byte multi-put whose clock claimed 10⁶
-// entries made gob allocate 56 MB.
+// TestDecodeBoundsClaimedCounts: a payload under 64 bytes whose count or
+// length claims 10⁶ entries fails, and decoding it allocates under
+// 64 KiB. Before the bounds rule, a 40-byte multi-put whose clock
+// claimed 10⁶ entries made the decoder allocate 56 MB. Every payload
+// type has at least one case.
 func TestDecodeBoundsClaimedCounts(t *testing.T) {
-	cases := map[string]struct {
-		p  []byte
-		to any
-	}{}
-	add := func(name string, to any, parts ...[]byte) {
-		cases[name] = struct {
-			p  []byte
-			to any
-		}{bytes.Join(parts, nil), to}
+	type claim struct {
+		name string
+		to   wireUnmarshaler
+		p    []byte
 	}
-	h := func(tag byte) []byte { return []byte{handMarker, tag} }
+	var cases []claim
+	add := func(name string, to wireUnmarshaler, tag byte, parts ...[]byte) {
+		p := append([]byte{payloadMarker, tag}, bytes.Join(append(parts, claimUvarint, bytes.Repeat([]byte{1}, 16)), nil)...)
+		cases = append(cases, claim{name, to, p})
+	}
+	z := []byte{0}
 	ringZ := []byte{0, 0}
-	fill := bytes.Repeat([]byte{1}, 16)
-	add("multiGetReq.Keys", &multiGetReq{}, h(tagMultiGetReq), ringZ, claimUvarint, fill)
-	add("multiGetResp.Items", &multiGetResp{}, h(tagMultiGetResp), claimUvarint, fill)
-	add("multiGetResp.Versions", &multiGetResp{}, h(tagMultiGetResp), []byte{1, 0}, claimUvarint, fill)
-	add("multiGetResp.Clock", &multiGetResp{}, h(tagMultiGetResp), []byte{1, 0, 1, 0}, claimUvarint, fill)
-	add("multiPutReq.Items", &multiPutReq{}, h(tagMultiPutReq), ringZ, claimUvarint, fill)
-	add("multiPutReq.Clock", &multiPutReq{}, h(tagMultiPutReq), ringZ, []byte{1, 0, 0}, claimUvarint, fill)
-	add("multiPutReq.Value", &multiPutReq{}, h(tagMultiPutReq), ringZ, []byte{1, 0}, claimUvarint, fill)
-	add("clientGetReq.Key", &clientGetReq{}, h(tagClientGetReq), ringZ, claimUvarint, fill)
-	add("clientGetResp.Values", &clientGetResp{}, h(tagClientGetResp), claimUvarint, fill)
-	add("clientGetResp.Context", &clientGetResp{}, h(tagClientGetResp), []byte{0}, claimUvarint, fill)
-	add("clientPutReq.Context", &clientPutReq{}, h(tagClientPutReq), ringZ, []byte{0, 0, 0}, claimUvarint, fill)
-	add("clientMGetReq.Keys", &clientMGetReq{}, h(tagClientMGetReq), ringZ, claimUvarint, fill)
-	add("clientMGetResp.Items", &clientMGetResp{}, h(tagClientMGetResp), claimUvarint, fill)
-	add("clientMPutReq.Entries", &clientMPutReq{}, h(tagClientMPutReq), ringZ, claimUvarint, fill)
-	add("fetchChunkResp.Items", &fetchChunkResp{}, h(tagFetchChunkResp), claimUvarint, fill)
-	for _, proto := range wirePayloadPrototypes {
-		typ := reflect.TypeOf(proto)
-		body := encode(proto)[1:] // [length] [type id] [0]: the zero value
-		g := gobScan{b: body}
-		g.uint()
-		rest := g.b
-		g.uint()
-		typeID := rest[:len(rest)-len(g.b)]
-		marker := []byte{primeFor(typ).marker}
-		msg := func(parts ...[]byte) []byte {
-			m := bytes.Join(parts, nil)
-			return append(append(marker, byte(len(m))), m...)
-		}
-		add(typ.Name()+" message length", newPtr(proto), marker, claimGob, typeID, []byte{0})
-		if path := gobCountPath(typ); path != nil {
-			add(typ.Name()+" count", newPtr(proto), msg(typeID, path, claimGob, fill))
-		}
-	}
-	for name, c := range cases {
+	add("multiGetReq.Keys", &multiGetReq{}, tagMultiGetReq, ringZ)
+	add("multiGetResp.Items", &multiGetResp{}, tagMultiGetResp)
+	add("multiGetResp.Versions", &multiGetResp{}, tagMultiGetResp, []byte{1, 0})
+	add("multiGetResp.Clock", &multiGetResp{}, tagMultiGetResp, []byte{1, 0, 1, 0})
+	add("multiPutReq.Items", &multiPutReq{}, tagMultiPutReq, ringZ)
+	add("multiPutReq.Clock", &multiPutReq{}, tagMultiPutReq, ringZ, []byte{1, 0, 0})
+	add("multiPutReq.Value", &multiPutReq{}, tagMultiPutReq, ringZ, []byte{1, 0})
+	add("clientGetReq.Key", &clientGetReq{}, tagClientGetReq, ringZ)
+	add("clientGetResp.Values", &clientGetResp{}, tagClientGetResp)
+	add("clientGetResp.Context", &clientGetResp{}, tagClientGetResp, z)
+	add("clientPutReq.Context", &clientPutReq{}, tagClientPutReq, ringZ, []byte{0, 0, 0})
+	add("clientMGetReq.Keys", &clientMGetReq{}, tagClientMGetReq, ringZ)
+	add("clientMGetResp.Items", &clientMGetResp{}, tagClientMGetResp)
+	add("clientMPutReq.Entries", &clientMPutReq{}, tagClientMPutReq, ringZ)
+	add("fetchChunkResp.Items", &fetchChunkResp{}, tagFetchChunkResp)
+	add("heartbeatReq.From", &heartbeatReq{}, tagHeartbeatReq)
+	add("heartbeatReq.Digest", &heartbeatReq{}, tagHeartbeatReq, z)
+	add("heartbeatReq.Member", &heartbeatReq{}, tagHeartbeatReq, z, z)
+	add("heartbeatResp.Member", &heartbeatResp{}, tagHeartbeatResp)
+	add("leavesReq.Root", &leavesReq{}, tagLeavesReq, ringZ, z)
+	add("leavesResp.Keys", &leavesResp{}, tagLeavesResp, z)
+	add("leavesResp.Hashes", &leavesResp{}, tagLeavesResp, z, z)
+	add("adoptReq.FromAddr", &adoptReq{}, tagAdoptReq, ringZ, z)
+	add("announceReq.Node", &announceReq{}, tagAnnounceReq)
+	add("rentsResp.Rents", &rentsResp{}, tagRentsResp)
+	add("deltaReq.Deltas", &deltaReq{}, tagDeltaReq)
+	add("deltaReq.Replicas", &deltaReq{}, tagDeltaReq, []byte{1}, ringZ, z)
+	add("deltaPullReq.Digest", &deltaPullReq{}, tagDeltaPullReq)
+	add("deltaPullResp.Deltas", &deltaPullResp{}, tagDeltaPullResp)
+	add("joinReq.Info", &joinReq{}, tagJoinReq)
+	add("joinResp.Members", &joinResp{}, tagJoinResp, z)
+	add("joinResp.Rings", &joinResp{}, tagJoinResp, z, z)
+	add("joinResp.Placement", &joinResp{}, tagJoinResp, z, z, z)
+	add("memberPullReq (no count: trailing bytes)", &memberPullReq{}, tagMemberPullReq)
+	add("memberPullResp.Deltas", &memberPullResp{}, tagMemberPullResp)
+	add("memberDeltaReq.Deltas", &memberDeltaReq{}, tagMemberDeltaReq)
+	add("fetchChunkReq.After", &fetchChunkReq{}, tagFetchChunkReq, ringZ, z)
+	add("clientMembersResp.Members", &clientMembersResp{}, tagClientMembersResp)
+
+	covered := map[reflect.Type]bool{}
+	for _, c := range cases {
+		covered[reflect.TypeOf(c.to).Elem()] = true
 		if len(c.p) >= 64 {
-			t.Fatalf("%s: payload of %d bytes, want < 64", name, len(c.p))
+			t.Fatalf("%s: payload of %d bytes, want < 64", c.name, len(c.p))
 		}
 		// The least of three readings: another goroutine of the test
 		// process may allocate during one of them.
@@ -220,37 +233,17 @@ func TestDecodeBoundsClaimedCounts(t *testing.T) {
 			alloc = min(alloc, allocated(func() { _ = decode(c.p, c.to) }))
 		}
 		if err == nil {
-			t.Errorf("%s: decode of a payload claiming 10^6 entries succeeded", name)
+			t.Errorf("%s: decode of a payload claiming 10^6 entries succeeded", c.name)
 		}
 		if alloc >= 64<<10 {
-			t.Errorf("%s: decode allocated %d bytes, want < 64 KiB (err %v)", name, alloc, err)
+			t.Errorf("%s: decode allocated %d bytes, want < 64 KiB (err %v)", c.name, alloc, err)
 		}
 	}
-}
-
-// gobCountPath returns the field deltas of a gob struct encoding that
-// lead, depth first, to the first slice field of t, else to the first
-// string field, or nil when t has neither.
-func gobCountPath(t reflect.Type) []byte {
-	if p := gobPathTo(t, reflect.Slice); p != nil {
-		return p
-	}
-	return gobPathTo(t, reflect.String)
-}
-
-func gobPathTo(t reflect.Type, kind reflect.Kind) []byte {
-	for i := range t.NumField() {
-		ft := t.Field(i).Type
-		if ft.Kind() == kind {
-			return []byte{byte(i + 1)}
-		}
-		if ft.Kind() == reflect.Struct {
-			if sub := gobPathTo(ft, kind); sub != nil {
-				return append([]byte{byte(i + 1)}, sub...)
-			}
+	for _, s := range codecSamples() {
+		if !covered[reflect.TypeOf(s)] {
+			t.Errorf("%T has no claimed-count case", s)
 		}
 	}
-	return nil
 }
 
 // allocated reports the bytes f allocates.
@@ -275,25 +268,23 @@ func gobRoundTrip(t testing.TB, v any) any {
 	return reflect.ValueOf(out).Elem().Interface()
 }
 
-// TestHandCodecMatchesGob: on random values of every hand-coded type,
-// hand-decoding the hand encoding gives what a fresh gob round trip
-// gives. That pins gob's semantics, which the hand codec keeps: an empty
-// Value, Versions or other slice arrives as nil, while an empty Context
-// or Clock map stays empty and a nil one stays nil. The gob types run
-// the same check, which holds scanGob to everything gob emits.
+// TestHandCodecMatchesGob: on random values of every payload type,
+// decoding the encoding gives what a fresh gob round trip gives. That
+// pins gob's semantics, which the codec keeps: an empty byte slice,
+// string list or other slice arrives as nil, while an empty map (a
+// clock, a context, a placement digest) stays empty and a nil one
+// stays nil.
 func TestHandCodecMatchesGob(t *testing.T) {
-	freshInternTable(t) // the random clock names must not fill the process's table
 	rng := rand.New(rand.NewSource(1))
-	for _, s := range append(handSamples(), wirePayloadPrototypes...) {
+	for _, s := range codecSamples() {
 		typ := reflect.TypeOf(s)
 		for range 300 {
 			v := randomValue(rng, typ, 3).Interface()
-			out := newPtr(v)
-			if err := decode(encode(v), out); err != nil {
+			got, err := roundTrip(v)
+			if err != nil {
 				t.Fatalf("%T: %v", v, err)
 			}
-			got, want := reflect.ValueOf(out).Elem().Interface(), gobRoundTrip(t, v)
-			if !reflect.DeepEqual(got, want) {
+			if want := gobRoundTrip(t, v); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%T: codec gave %#v, gob gives %#v", v, got, want)
 			}
 		}
@@ -351,120 +342,110 @@ func randomValue(rng *rand.Rand, t reflect.Type, depth int) reflect.Value {
 }
 
 // FuzzDecodePayload: decode reads bytes off the socket, so no input may
-// panic it or make it allocate past its bytes, and no input may poison
-// the pooled gob session a later well-formed payload decodes on. Every
-// input is decoded into every hand-coded type and a few gob types. The
-// seeds are the encoded samples; plain go test runs them, go test -fuzz
-// explores from them.
+// panic it or make it allocate past its bytes. Every input is decoded
+// into every payload type. The seeds are the encoded samples; plain go
+// test runs them, go test -fuzz explores from them.
 func FuzzDecodePayload(f *testing.F) {
 	samples := codecSamples()
 	for _, s := range samples {
-		f.Add(encode(s))
-	}
-	wellFormed := make([][]byte, len(samples))
-	for i, s := range samples {
-		wellFormed[i] = encode(s)
+		f.Add(encode(s.(wireMarshaler)))
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for _, s := range samples {
 			_ = decode(p, newPtr(s))
 		}
-		for i, s := range samples {
-			got := newPtr(s)
-			if err := decode(wellFormed[i], got); err != nil || !reflect.DeepEqual(reflect.ValueOf(got).Elem().Interface(), s) {
-				t.Fatalf("well-formed %T after input %x: %+v, %v; want %+v", s, p, got, err, s)
-			}
-		}
 	})
 }
 
-// newPtr returns a pointer to a fresh zero value of v's type.
-func newPtr(v any) any { return reflect.New(reflect.TypeOf(v)).Interface() }
-
-// TestPayloadCodecCrossProcess pins the skutectl/skuted interop bug:
-// gob assigns wire type IDs from a process-global registry in
-// first-use order, so value-only session payloads are only portable
-// because registerWireTypes pins that order at package init. The test
-// re-execs the test binary as a CHILD whose first gob activity is a
-// different encode order (like skutectl, whose first payload is a
-// client get, vs skuted, whose first is a heartbeat), then has the
-// child decode every parent-encoded sample. Without the init pinning
-// this fails with "gob: unknown type id or corrupted data".
-func TestPayloadCodecCrossProcess(t *testing.T) {
-	if os.Getenv("SKUTE_CODEC_CHILD") == "1" {
-		t.Skip("child mode is driven by TestPayloadCodecCrossProcessChild")
-	}
-	samples := codecSamples()
-	var lines []string
-	for _, s := range samples {
-		lines = append(lines, hex.EncodeToString(encode(s)))
-	}
-	input := filepath.Join(t.TempDir(), "payloads.hex")
-	if err := os.WriteFile(input, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(os.Args[0], "-test.run", "TestPayloadCodecCrossProcessChild", "-test.v")
-	cmd.Env = append(os.Environ(), "SKUTE_CODEC_CHILD=1", "SKUTE_CODEC_INPUT="+input)
-	out, err := cmd.CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "PASS") {
-		t.Fatalf("child decode failed: %v\n%s", err, out)
-	}
+// newPtr returns a pointer to a fresh zero value of v's payload type.
+func newPtr(v any) wireUnmarshaler {
+	return reflect.New(reflect.TypeOf(v)).Interface().(wireUnmarshaler)
 }
 
-// TestPayloadCodecCrossProcessChild is the re-exec target. It encodes
-// in a deliberately different order first (exercising lazy registration
-// paths), then decodes every payload the parent produced and checks it
-// equals the sample.
-func TestPayloadCodecCrossProcessChild(t *testing.T) {
-	if os.Getenv("SKUTE_CODEC_CHILD") != "1" {
-		t.Skip("parent drives this via re-exec")
-	}
-	// Mimic skutectl: the child's first encodes are client requests, in
-	// reverse sample order — any registration-order dependence left in
-	// the codec would surface as mismatched type IDs below.
-	samples := codecSamples()
-	for i := len(samples) - 1; i >= 0; i-- {
-		_ = encode(samples[i])
-	}
-	raw, err := os.ReadFile(os.Getenv("SKUTE_CODEC_INPUT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(string(raw), "\n") {
-		p, err := hex.DecodeString(strings.TrimSpace(line))
+// TestWirePackagesImportNoGobOrReflect: the wire path is one hand-laid
+// codec. No non-test file of the cluster or transport package may import
+// encoding/gob or reflect.
+func TestWirePackagesImportNoGobOrReflect(t *testing.T) {
+	for _, dir := range []string{".", "../transport"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := newPtr(samples[i])
-		if err := decode(p, out); err != nil {
-			t.Fatalf("cross-process decode of %T: %v", samples[i], err)
-		}
-		if got := reflect.ValueOf(out).Elem().Interface(); !reflect.DeepEqual(got, samples[i]) {
-			t.Fatalf("cross-process decode of %T: %+v, want %+v", samples[i], got, samples[i])
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "encoding/gob" || path == "reflect" {
+					t.Errorf("%s imports %s", file, path)
+				}
+			}
 		}
 	}
 }
 
-// TestInternNameBounded: a repeated clock node name decodes to one
-// shared string, and neither long names nor more than maxInterned
-// distinct names enter the table.
+// TestInternNameBounded: a registered member name decodes to one shared
+// string, and neither long names nor more than maxInterned distinct
+// names enter the table.
 func TestInternNameBounded(t *testing.T) {
 	freshInternTable(t)
+	internMember("intern-n0")
 	a, b := internName([]byte("intern-n0")), internName([]byte("intern-n0"))
 	if unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Error("a repeated name was not interned")
+		t.Error("a member name was not interned")
 	}
 	long := strings.Repeat("x", maxInternedLen+1)
-	if s := internName([]byte(long)); s != long || interned()[long] != "" {
+	if internMember(long); interned()[long] != "" {
 		t.Error("a name past maxInternedLen entered the table")
 	}
 	for i := range 2 * maxInterned {
-		if s := fmt.Sprint("intern-", i); internName([]byte(s)) != s {
-			t.Fatalf("internName(%q) changed the name", s)
-		}
+		internMember(fmt.Sprint("intern-", i))
 	}
 	if n := len(interned()); n > maxInterned {
 		t.Errorf("intern table holds %d names, want <= %d", n, maxInterned)
+	}
+}
+
+// TestInternTableKeepsMembers: clock names a peer makes up never enter
+// the intern table, so after a flood of them a member a node learns
+// later still decodes to the interned string without allocating.
+func TestInternTableKeepsMembers(t *testing.T) {
+	freshInternTable(t)
+	for i := range 2 * maxInterned {
+		p := encode(clientGetResp{Context: map[string]uint64{fmt.Sprint("garbage-", i): 1}})
+		if err := decode(p, &clientGetResp{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(interned()); n != 0 {
+		t.Errorf("decoding made-up clock names interned %d of them", n)
+	}
+	cfg := testConfig()
+	mesh := transport.NewMemory()
+	t.Cleanup(func() { mesh.Close() })
+	if _, err := NewNode(cfg, cfg.Nodes[0].Name, mesh, store.NewMemory()); err != nil {
+		t.Fatal(err)
+	}
+	name := []byte(cfg.Nodes[1].Name)
+	var resp clientGetResp
+	if err := decode(encode(clientGetResp{Context: map[string]uint64{string(name): 1}}), &resp); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := interned()[string(name)]
+	if !ok {
+		t.Fatalf("member %s is not interned", name)
+	}
+	for got := range resp.Context {
+		if unsafe.StringData(got) != unsafe.StringData(want) {
+			t.Errorf("member %s decoded to a fresh string, not the interned one", name)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { internName(name) }); allocs != 0 {
+		t.Errorf("decoding member name %s allocates %.0f times, want 0", name, allocs)
 	}
 }
 

@@ -62,9 +62,8 @@ const (
 	kindClientMembers = "client-members"
 )
 
-// Wire payloads, carried in transport.Envelope.Payload. The data-plane
-// payloads (keys, values, clocks) are hand-encoded (handcodec.go); the
-// rest ride the pooled gob sessions of codec.go.
+// Wire payloads, carried in transport.Envelope.Payload and laid out by
+// hand (codec.go).
 type (
 	heartbeatReq struct {
 		From string
@@ -72,7 +71,7 @@ type (
 		// fingerprints on every heartbeat; a receiver whose own digest
 		// disagrees pulls the sender's deltas (gossip anti-entropy for
 		// the control plane).
-		Digest []ringSum
+		Digest placement.Digest
 		// Member is the sender's own membership record, so a receiver
 		// that has never heard of the sender (a fresh joiner beating
 		// before its join record gossiped this far) learns its metadata
@@ -169,20 +168,13 @@ type (
 		Node string
 		Rent float64
 	}
-	// ringSum is one ring's placement fingerprint. A placement.Digest
-	// travels as a slice of them sorted by ring, because no gob wire
-	// type may hold a map (see codec.go).
-	ringSum struct {
-		Ring ring.RingID
-		Sum  uint64
-	}
 	deltaReq struct {
 		Deltas []placement.Delta
 	}
 	deltaPullReq struct {
 		// Digest is the puller's own per-ring fingerprints; the serving
 		// node answers with its entries for every mismatched ring.
-		Digest []ringSum
+		Digest placement.Digest
 	}
 	deltaPullResp struct {
 		Deltas []placement.Delta
@@ -530,6 +522,7 @@ func (n *Node) registerName(name string) ring.ServerID {
 	if id, ok := n.ids[name]; ok {
 		return id
 	}
+	internMember(name)
 	id := ring.ServerID(len(n.names))
 	n.names = append(n.names, name)
 	n.ids[name] = id
@@ -588,7 +581,7 @@ func storageKey(id ring.RingID, key string) string {
 func (n *Node) SendHeartbeats(ctx context.Context) {
 	env := transport.Envelope{Kind: kindHeartbeat, Payload: encode(heartbeatReq{
 		From:    n.self.Name,
-		Digest:  wireDigest(n.pmap.Digest()),
+		Digest:  n.pmap.Digest(),
 		Member:  n.mt.SelfDelta(),
 		MDigest: n.mt.Digest(),
 	})}
@@ -706,7 +699,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		// the merge safe in both directions; if WE hold the newer
 		// entries, the sender converges when our own next heartbeat
 		// reaches it.
-		if dg := n.pmap.Digest(); len(dg.Mismatch(digestOf(hb.Digest))) > 0 {
+		if dg := n.pmap.Digest(); len(dg.Mismatch(hb.Digest)) > 0 {
 			_, _ = n.reconcileWith(ctx, hb.From, dg) // best effort; the next beat retries
 		}
 		// Same exchange for the member table: a digest mismatch pulls the
@@ -830,7 +823,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		var resp deltaPullResp
 		// Deltas() with no ring filter would export everything; an
 		// empty mismatch must answer with nothing instead.
-		if mismatched := n.pmap.Digest().Mismatch(digestOf(pq.Digest)); len(mismatched) > 0 {
+		if mismatched := n.pmap.Digest().Mismatch(pq.Digest); len(mismatched) > 0 {
 			resp.Deltas = n.pmap.Deltas(mismatched...)
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(resp)}, nil
@@ -1136,7 +1129,7 @@ func (n *Node) reconcileWith(ctx context.Context, peer string, digest placement.
 	}
 	resp, err := n.tr.Call(ctx, info.Addr, transport.Envelope{
 		Kind:    kindDeltaPull,
-		Payload: encode(deltaPullReq{Digest: wireDigest(digest)}),
+		Payload: encode(deltaPullReq{Digest: digest}),
 	})
 	if err != nil {
 		return 0, err

@@ -40,9 +40,10 @@ func (n *Node) touchContact() {
 }
 
 // contactFresh reports whether the read lease is current: the node heard
-// from a peer within the suspicion window.
+// from a peer within the suspicion window, or its failure detector is
+// manual (no clock ages contact; see membership.Table.SetManual).
 func (n *Node) contactFresh() bool {
-	return n.Now().UnixNano()-n.lastContact.Load() <= int64(n.suspectAfter)
+	return n.Now().UnixNano()-n.lastContact.Load() <= int64(n.suspectAfter) || n.mt.Manual()
 }
 
 // Defaults for the read-path tunables (see Config.ReadCacheEntries and

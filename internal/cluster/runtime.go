@@ -87,6 +87,13 @@ func (n *Node) Start(ctx context.Context, rc RuntimeConfig) error {
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	n.run.cancel = cancel
+	// The heartbeats now supply liveness, so a manual failure detector
+	// (an embedded cluster before Start) turns the clock on; the switch
+	// counts as contact, like a boot.
+	if n.mt.Manual() {
+		n.mt.SetManual(false, n.Now())
+		n.touchContact()
+	}
 	n.trace.Add("runtime", "start heartbeat=%s reconcile=%s anti-entropy=%s epoch=%s",
 		rc.Heartbeat, rc.Reconcile, rc.AntiEntropy, rc.Epoch)
 

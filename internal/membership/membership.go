@@ -30,6 +30,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skute/internal/topology"
@@ -189,6 +190,10 @@ type Table struct {
 	// grace before a suspect is declared dead.
 	suspectAfter time.Duration
 	deadAfter    time.Duration
+	// manual stops the clock: while set, no member ages into suspicion,
+	// so liveness changes only through Apply, Confirm, Fail, Revive and
+	// Leave.
+	manual atomic.Bool
 	// digest caches the gossiped-state fingerprint between mutations.
 	digest   uint64
 	digestOK bool
@@ -225,6 +230,25 @@ func (t *Table) SetTimeouts(suspectAfter, deadAfter time.Duration) {
 		t.deadAfter = deadAfter
 	}
 }
+
+// SetManual turns the clock-driven failure detector off (manual) or
+// back on. Turning it on restarts every member's silence window at now,
+// so time spent in manual mode never counts as silence.
+func (t *Table) SetManual(manual bool, now time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.manual.Load() && !manual {
+		for _, m := range t.members {
+			if now.After(m.LastHeard) {
+				m.LastHeard = now
+			}
+		}
+	}
+	t.manual.Store(manual)
+}
+
+// Manual reports whether the clock-driven failure detector is off.
+func (t *Table) Manual() bool { return t.manual.Load() }
 
 // Self returns the owner's name.
 func (t *Table) Self() string { return t.self }
@@ -378,6 +402,9 @@ func (t *Table) Leave() Delta {
 // joining is still evicted. It returns the records that changed, for
 // the caller to gossip and act on (eviction).
 func (t *Table) Tick(now time.Time) (suspects, deads []Delta) {
+	if t.manual.Load() {
+		return nil, nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for name, m := range t.members {
@@ -412,7 +439,13 @@ func (t *Table) Alive(name string, now time.Time) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	m, ok := t.members[name]
-	return ok && m.State == Alive && m.Confirmed && now.Sub(m.LastHeard) <= t.suspectAfter
+	return ok && t.serving(m, now)
+}
+
+// serving reports whether a peer's record counts as alive at now; the
+// caller holds t.mu.
+func (t *Table) serving(m *Member, now time.Time) bool {
+	return m.State == Alive && m.Confirmed && (t.manual.Load() || now.Sub(m.LastHeard) <= t.suspectAfter)
 }
 
 // Info returns the member's metadata.
@@ -443,7 +476,7 @@ func (t *Table) AliveNames(now time.Time) []string {
 	defer t.mu.RUnlock()
 	var out []string
 	for name, m := range t.members {
-		if name == t.self || (m.State == Alive && m.Confirmed && now.Sub(m.LastHeard) <= t.suspectAfter) {
+		if name == t.self || t.serving(m, now) {
 			out = append(out, name)
 		}
 	}

@@ -268,3 +268,32 @@ func TestLeave(t *testing.T) {
 		t.Fatalf("left member must not be a gossip target: %v", got)
 	}
 }
+
+// TestManualStopsTheClock: in manual mode silence suspects nobody and a
+// confirmed peer stays alive; turning the clock back on restarts the
+// silence window at the switch, so manual time never counts.
+func TestManualStopsTheClock(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tb := New(info("n0"), 10*time.Second, 20*time.Second)
+	tb.SeedPeer(info("n1"), now)
+	tb.Confirm("n1", now)
+	tb.SetManual(true, time.Time{})
+
+	late := now.Add(time.Hour)
+	if s, d := tb.Tick(late); len(s)+len(d) != 0 || !tb.Alive("n1", late) {
+		t.Fatalf("manual table aged n1: suspects=%v deads=%v alive=%v", s, d, tb.Alive("n1", late))
+	}
+	tb.Fail("n1")
+	if tb.Alive("n1", late) {
+		t.Fatal("Fail did not take n1 down in manual mode")
+	}
+	tb.Revive("n1", now)
+
+	tb.SetManual(false, late)
+	if s, _ := tb.Tick(late.Add(5 * time.Second)); len(s) != 0 || !tb.Alive("n1", late.Add(5*time.Second)) {
+		t.Fatalf("switch to clocked counted manual time as silence: suspects=%v", s)
+	}
+	if s, _ := tb.Tick(late.Add(11 * time.Second)); len(s) != 1 {
+		t.Fatalf("clocked table did not suspect n1 after 11 s of silence: %v", s)
+	}
+}

@@ -21,9 +21,8 @@ import (
 // responses interleave freely, and a slow response never head-of-line
 // blocks a fast one behind it. The header is hand-encoded — no
 // reflection, no per-call type descriptors — and the opaque payload
-// rides as raw bytes (internal/cluster encodes it: data-plane payloads
-// by hand in this same idiom, control-plane ones through pooled gob
-// sessions).
+// rides as raw bytes (internal/cluster lays every payload out by hand
+// in this same idiom).
 const (
 	// flagResponse marks a response frame; requests have no flags.
 	flagResponse = 1 << 0

@@ -17,10 +17,8 @@ import (
 // pooled per address and multiplexed: every call travels as a
 // length-prefixed binary frame carrying a request ID (see frame.go), so
 // many in-flight calls share one socket and a slow response never
-// head-of-line blocks a fast one. The frame header is hand-encoded —
-// the per-call gob type descriptors of the old wire are gone entirely
-// (the cluster layer hand-encodes its data-plane payloads and keeps
-// descriptors out of its gob control-plane payloads). The server side
+// head-of-line blocks a fast one. The frame header is hand-encoded, as
+// is every payload the cluster layer puts in it. The server side
 // dispatches every frame to its handler on its own goroutine, so a slow
 // quorum read does not delay a heartbeat arriving on the same
 // connection.

@@ -8,9 +8,8 @@
 // hand-encoded, length-prefixed binary frames carrying a request ID
 // over a bounded per-address connection pool, and the server dispatches
 // every frame concurrently — see frame.go, pool.go and DESIGN.md, "The
-// wire". No gob runs at the transport layer at all; the payload codecs
-// live in internal/cluster (data-plane payloads hand-encoded,
-// control-plane ones through long-lived gob sessions). Handler errors
+// wire". The payload codec lives in internal/cluster and lays every
+// payload out by hand, with no reflection. Handler errors
 // cross the wire as typed codes (errcode.go), so sentinels like
 // ErrUnreachable and context cancellation survive errors.Is on the far
 // side.

@@ -251,9 +251,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 	// All servers booted together in-process, so skip the probation round
 	// a real deployment pays: every peer counts as directly confirmed
 	// from the start (TCP deployments earn confirmation through the first
-	// heartbeat exchange instead).
+	// heartbeat exchange instead). Until Start runs heartbeats, nothing
+	// ages into suspicion: liveness changes only through FailServer,
+	// ReviveServer, AddServer and RemoveServer.
 	for _, n := range c.nodes {
 		n.ConfirmPeers()
+		n.Membership().SetManual(true, time.Time{})
 	}
 	return c, nil
 }
@@ -317,6 +320,7 @@ func (c *Cluster) AddServer(ctx context.Context, s Server, seed string) error {
 	if rt != nil && rt.ctx.Err() == nil {
 		return n.Start(rt.ctx, rt.rc)
 	}
+	n.Membership().SetManual(true, time.Time{})
 	return nil
 }
 
@@ -454,6 +458,7 @@ func (c *Cluster) stopLocked() {
 	c.rt = nil
 	for _, name := range c.order {
 		c.nodes[name].Stop()
+		c.nodes[name].Membership().SetManual(true, time.Time{})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -775,4 +776,32 @@ func TestReviveAfterRuntimeContextCancelled(t *testing.T) {
 		t.Fatalf("restart after cancelled runtime: %v", err)
 	}
 	c.Stop()
+}
+
+// TestIdleClusterKeepsQuorum: an embedded cluster that was never
+// started has no heartbeats, so the clock alone must not age its
+// servers into suspicion. Eleven seconds of fake-clock silence (past
+// the default 10 s window) leave Put, a quorum Get and MPut working.
+func TestIdleClusterKeepsQuorum(t *testing.T) {
+	c := newTestCluster(t)
+	base := time.Now()
+	var offset atomic.Int64
+	for _, n := range c.nodes {
+		n.Now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	}
+	if err := c.Put(ctx, "billing", "idle", []byte("v1"), nil, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	offset.Store(int64(11 * time.Second))
+	if err := c.Put(ctx, "billing", "idle", []byte("v2"), nil, WriteOptions{}); err != nil {
+		t.Fatalf("Put after 11 s idle: %v", err)
+	}
+	// Both blind writes survive as siblings.
+	vals, _, err := c.Get(ctx, "billing", "idle", ReadOptions{Consistency: Quorum})
+	if err != nil || len(vals) != 2 {
+		t.Fatalf("quorum Get after 11 s idle = %q, %v; want v1 and v2", vals, err)
+	}
+	if err := c.MPut(ctx, "billing", []Entry{{Key: "idle-a", Value: []byte("a")}, {Key: "idle-b", Value: []byte("b")}}, WriteOptions{}); err != nil {
+		t.Fatalf("MPut after 11 s idle: %v", err)
+	}
 }
