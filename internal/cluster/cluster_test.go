@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,6 +276,52 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 	if got := victim.Engine().Get(storageKey(goldRing, "heal-me")); len(got) != 1 || string(got[0].Value) != "v1" {
 		t.Fatalf("read repair did not heal the victim: %+v", got)
 	}
+}
+
+// TestStoredValuesOwnNoCallerBuffer: the engine keeps the versions it
+// accepts as they are, so the coordinator's own write share and its own
+// read repair must hand it copies. A caller that reuses its value buffer
+// after Put, or the result slice of a repairing Get, must leave every
+// replica unchanged.
+func TestStoredValuesOwnNoCallerBuffer(t *testing.T) {
+	_, nodes := testCluster(t)
+	replicas, err := nodes[0].Replicas(goldRing, "own")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coord *Node
+	for _, n := range nodes {
+		if n.Name() == replicas[0] {
+			coord = n
+		}
+	}
+	buf := []byte("v1")
+	if err := coord.Put(ctx, goldRing, "own", buf, nil, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XX")
+	check := func(when string) {
+		t.Helper()
+		for _, n := range nodes {
+			if !slices.Contains(replicas, n.Name()) {
+				continue
+			}
+			if got := n.Engine().Get(storageKey(goldRing, "own")); len(got) != 1 || string(got[0].Value) != "v1" {
+				t.Fatalf("%s: %s holds %+v, want v1", when, n.Name(), got)
+			}
+		}
+	}
+	check("after the caller reused its Put buffer")
+
+	if _, err := coord.Engine().Drop(storageKey(goldRing, "own")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Get(ctx, goldRing, "own", ReadOptions{})
+	if err != nil || len(res.Values) != 1 {
+		t.Fatalf("Get = %+v, %v", res, err)
+	}
+	copy(res.Values[0], "YY")
+	check("after the caller changed a repairing Get's result")
 }
 
 func TestQuorumFailure(t *testing.T) {

@@ -781,7 +781,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		if err := decode(req.Payload, &m); err != nil {
 			return transport.Envelope{}, err
 		}
-		if _, err := n.eng.PutBatch(storeItems(m.Ring, m.Items)); err != nil {
+		if _, err := n.eng.PutBatch(storeItems(m.Ring, m.Items, false)); err != nil {
 			return transport.Envelope{}, err
 		}
 		return transport.Envelope{Kind: "ok"}, nil

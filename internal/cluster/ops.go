@@ -669,7 +669,8 @@ func mergeReplies(keys, responders []string, replies map[string]map[string][]sto
 func (n *Node) repair(ctx context.Context, id ring.RingID, stale map[string][]putItem) {
 	for name, items := range stale {
 		if name == n.self.Name {
-			_, _ = n.eng.PutBatch(storeItems(id, items))
+			// The merged versions are also the caller's read result.
+			_, _ = n.eng.PutBatch(storeItems(id, items, true))
 			continue
 		}
 		info, _ := n.info(name)
@@ -679,11 +680,17 @@ func (n *Node) repair(ctx context.Context, id ring.RingID, stale map[string][]pu
 }
 
 // storeItems converts a ring's wire put items into engine items under
-// their storage keys.
-func storeItems(id ring.RingID, items []putItem) []store.Item {
+// their storage keys. PutBatch keeps the versions it accepts, so items
+// that alias a caller's buffers pass clone; freshly decoded ones need no
+// copy.
+func storeItems(id ring.RingID, items []putItem, clone bool) []store.Item {
 	out := make([]store.Item, len(items))
 	for i, it := range items {
-		out[i] = store.Item{Key: storageKey(id, it.Key), Version: it.Version}
+		v := it.Version
+		if clone {
+			v = v.Clone()
+		}
+		out[i] = store.Item{Key: storageKey(id, it.Key), Version: v}
 	}
 	return out
 }
@@ -916,7 +923,7 @@ func (n *Node) writeBatch(ctx context.Context, id ring.RingID, keys []string, ve
 	}
 	go func() { sends.Wait(); cancelSends() }()
 	if self >= 0 {
-		if _, err := n.eng.PutBatch(storeItems(id, shares[self].items)); err == nil {
+		if _, err := n.eng.PutBatch(storeItems(id, shares[self].items, true)); err == nil {
 			ack(self)
 		}
 	}

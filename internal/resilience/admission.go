@@ -137,9 +137,7 @@ func (g *Gate) Enter(ctx context.Context, p Priority) (release func(), err error
 			}
 		}
 	}
-	cur := g.inflight.Add(1)
-	if p != Critical && cur > g.limit(p) {
-		g.inflight.Add(-1)
+	if !g.admit(p) {
 		g.shed[p].Inc()
 		return nil, ErrOverloaded
 	}
@@ -153,6 +151,28 @@ func (g *Gate) Enter(ctx context.Context, p Priority) (release func(), err error
 		g.inflight.Add(-1)
 		g.hists[p].Record(g.now().Sub(start).Nanoseconds())
 	}, nil
+}
+
+// admit takes one in-flight slot for class p unless the count has
+// reached the class limit. The compare-and-swap never lets the count
+// pass the limit, not even for the moment before a shed, so a request of
+// a higher class cannot be shed because of a lower one that is about to
+// be refused. Critical traffic takes its slot unconditionally.
+func (g *Gate) admit(p Priority) bool {
+	if p == Critical {
+		g.inflight.Add(1)
+		return true
+	}
+	limit := g.limit(p)
+	for {
+		cur := g.inflight.Load()
+		if cur >= limit {
+			return false
+		}
+		if g.inflight.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
 }
 
 // estimate returns the cached median service time (ns) for class p,

@@ -20,8 +20,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,17 +41,8 @@ type Version struct {
 	Tombstone bool
 }
 
-// fingerprint hashes the version for Merkle leaves.
-func (v Version) fingerprint() merkle.Digest {
-	tomb := []byte{0}
-	if v.Tombstone {
-		tomb[0] = 1
-	}
-	return merkle.HashValue(v.Value, []byte(v.Clock.String()), tomb)
-}
-
-// clone returns a version sharing no mutable state with v.
-func (v Version) clone() Version {
+// Clone returns a version sharing no mutable state with v.
+func (v Version) Clone() Version {
 	c := Version{Clock: v.Clock.Clone(), Tombstone: v.Tombstone}
 	if v.Value != nil {
 		c.Value = append([]byte(nil), v.Value...)
@@ -128,14 +117,6 @@ func NewMemory() *Engine {
 	return e
 }
 
-// walRecord is the gob frame appended to the log per accepted write. Drop
-// records remove the key outright (replica handoff, not a user delete).
-type walRecord struct {
-	Key     string
-	Version Version
-	Drop    bool
-}
-
 // Options tunes the durable boot paths; the zero value selects the
 // defaults.
 type Options struct {
@@ -187,16 +168,16 @@ func RestoreOptions(walDir, snapDir string, o Options) (*Engine, error) {
 			e.dur.TailSkipped++
 			return nil
 		}
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return fmt.Errorf("store: decode wal record %d: %w", seq, err)
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", seq, err)
 		}
 		s := e.shardOf(rec.Key)
 		if rec.Drop {
 			s.drop(rec.Key)
 		} else {
-			// Freshly gob-decoded, uniquely owned: no defensive copy.
-			s.apply(rec.Key, rec.Version, false)
+			// Freshly decoded, uniquely owned: no defensive copy.
+			s.apply(rec.Key, rec.Version)
 		}
 		e.dur.TailRecords++
 		e.dur.TailBytes += int64(len(payload))
@@ -224,32 +205,30 @@ func RestoreOptions(walDir, snapDir string, o Options) (*Engine, error) {
 	return e, nil
 }
 
-// loadSnapshot fills the engine's shards from decoded snapshot payloads
-// (one gob-encoded key→sibling-set map per saved shard, decoded
-// concurrently). Keys are redistributed through shardOf, so the engine's
-// shard count may differ from the snapshot's.
+// loadSnapshot fills the engine's shards from snapshot payloads (one
+// shard blob per saved shard, see record.go, decoded concurrently). Keys
+// are redistributed through shardOf, so the engine's shard count may
+// differ from the snapshot's.
 func (e *Engine) loadSnapshot(blobs [][]byte) error {
-	maps := make([]map[string][]Version, len(blobs))
+	shards := make([][]shardEntry, len(blobs))
 	errs := make([]error, len(blobs))
 	parallel.ForEach(len(blobs), 0, func(i int) {
 		if len(blobs[i]) == 0 {
 			return
 		}
-		if err := gob.NewDecoder(bytes.NewReader(blobs[i])).Decode(&maps[i]); err != nil {
-			errs[i] = err
-		}
+		shards[i], errs[i] = decodeShard(blobs[i])
 	})
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("store: decode snapshot shard %d: %w", i, err)
+			return fmt.Errorf("store: snapshot shard %d: %w", i, err)
 		}
 	}
-	for _, m := range maps {
-		for k, vs := range m {
-			s := e.shardOf(k)
-			s.set(k, vs)
+	for _, entries := range shards {
+		for _, en := range entries {
+			s := e.shardOf(en.Key)
+			s.set(en.Key, en.Versions)
 			var b int64
-			for _, v := range vs {
+			for _, v := range en.Versions {
 				b += int64(len(v.Value))
 			}
 			s.bytes.Add(b)
@@ -295,30 +274,19 @@ func (e *Engine) Checkpoint(snapDir string) (uint64, error) {
 
 	seq := e.log.LastFlushed()
 	blobs := make([][]byte, shardCount)
-	errs := make([]error, shardCount)
 	parallel.ForEach(shardCount, 0, func(i int) {
 		s := &e.shards[i]
 		// Copy-on-read: stored sibling slices are never mutated in place
-		// (apply builds fresh slices), so a shallow map copy is a stable
+		// (apply builds fresh slices), so a shallow copy is a stable
 		// point-in-time view and encoding can run outside the lock.
 		s.mu.RLock()
-		m := make(map[string][]Version, len(s.data))
+		entries := make([]shardEntry, 0, len(s.data))
 		for k, vs := range s.data {
-			m[k] = vs
+			entries = append(entries, shardEntry{Key: k, Versions: vs})
 		}
 		s.mu.RUnlock()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-			errs[i] = err
-			return
-		}
-		blobs[i] = buf.Bytes()
+		blobs[i] = encodeShard(entries)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("store: encode checkpoint shard %d: %w", i, err)
-		}
-	}
 
 	// Drain the group-commit queue before writing the snapshot: any record
 	// the copies can contain was enqueued before its shard was copied, so
@@ -414,13 +382,23 @@ type WriteHook func(key string, sum merkle.Digest, deleted bool)
 // removes the hook.
 func (e *Engine) SetWriteHook(h WriteHook) { e.hook = h }
 
-// leafSum fingerprints a sibling set into its Merkle-leaf hash; caller
-// holds the shard lock (or owns vs).
+// tombBytes is the tombstone part of a version's fingerprint.
+var tombBytes = [2][]byte{{0}, {1}}
+
+// leafSum fingerprints a sibling set into its Merkle-leaf hash: the hash
+// of each version's hash over its value, its clock's String text and a
+// tombstone byte. Caller holds the shard lock (or owns vs).
 func leafSum(vs []Version) merkle.Digest {
-	parts := make([][]byte, 0, len(vs))
-	for _, v := range vs {
-		d := v.fingerprint()
-		parts = append(parts, d[:])
+	parts := make([][]byte, len(vs))
+	sums := make([]merkle.Digest, len(vs))
+	var text [64]byte
+	for i, v := range vs {
+		tomb := tombBytes[0]
+		if v.Tombstone {
+			tomb = tombBytes[1]
+		}
+		sums[i] = merkle.HashValue(v.Value, v.Clock.AppendString(text[:0]), tomb)
+		parts[i] = sums[i][:]
 	}
 	return merkle.HashValue(parts...)
 }
@@ -438,7 +416,7 @@ func (e *Engine) Get(key string) []Version {
 	}
 	out := make([]Version, len(vs))
 	for i, v := range vs {
-		out[i] = v.clone()
+		out[i] = v.Clone()
 	}
 	return out
 }
@@ -447,9 +425,10 @@ func (e *Engine) Get(key string) []Version {
 // dominated by the new clock are dropped, a version dominating the new
 // one makes the put a no-op, and concurrent versions coexist as siblings.
 // It reports whether the version was accepted (i.e. changed state). It is
-// a one-item PutBatch.
+// a one-item PutBatch of a private copy of v, so the caller keeps
+// ownership of v's value and clock.
 func (e *Engine) Put(key string, v Version) (bool, error) {
-	accepted, err := e.PutBatch([]Item{{Key: key, Version: v}})
+	accepted, err := e.PutBatch([]Item{{Key: key, Version: v.Clone()}})
 	return accepted == 1, err
 }
 
@@ -462,6 +441,10 @@ type Item struct {
 // PutBatch applies every item as Put would, in order, and makes the batch
 // durable with a single group-commit wait. It returns how many items were
 // accepted; dominated items change nothing and are not logged.
+//
+// PutBatch takes ownership of the items' values and clocks: the engine
+// stores them as they are, so the caller must not change them after the
+// call, and must pass a copy of anything it shares (Put does).
 //
 // The write order is: (1) encode and size-check every record before
 // anything is applied, so an oversized or unencodable item fails the
@@ -483,13 +466,9 @@ type Item struct {
 func (e *Engine) PutBatch(items []Item) (int, error) {
 	var recs [][]byte
 	if e.log != nil {
-		recs = make([][]byte, len(items))
-		for i, it := range items {
-			rec, err := encodeRecord(walRecord{Key: it.Key, Version: it.Version})
-			if err != nil {
-				return 0, err
-			}
-			recs[i] = rec
+		var err error
+		if recs, err = encodeItems(items); err != nil {
+			return 0, err
 		}
 	}
 	accepted := 0
@@ -497,7 +476,7 @@ func (e *Engine) PutBatch(items []Item) (int, error) {
 	for i, it := range items {
 		s := e.shardOf(it.Key)
 		s.mu.Lock()
-		if !s.apply(it.Key, it.Version, true) {
+		if !s.apply(it.Key, it.Version) {
 			s.mu.Unlock()
 			continue
 		}
@@ -521,23 +500,9 @@ func (e *Engine) PutBatch(items []Item) (int, error) {
 	return accepted, e.log.Commit(last)
 }
 
-// encodeRecord gob-encodes one WAL record and checks it fits the log.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encode wal record: %w", err)
-	}
-	if buf.Len() > wal.MaxRecordSize {
-		return nil, fmt.Errorf("store: wal record of %d bytes exceeds max %d", buf.Len(), wal.MaxRecordSize)
-	}
-	return buf.Bytes(), nil
-}
-
-// apply merges the version into the sibling set; caller holds mu. With
-// copyIn, the stored version is a private deep copy, so later caller-side
-// mutation of the value or clock cannot reach in; WAL replay passes false
-// because decoded records are already uniquely owned.
-func (s *shard) apply(key string, v Version, copyIn bool) bool {
+// apply merges the version into the sibling set and stores v as it is;
+// caller holds mu and owns v.
+func (s *shard) apply(key string, v Version) bool {
 	old := s.data[key]
 	kept := old[:0:0]
 	for _, o := range old {
@@ -551,9 +516,6 @@ func (s *shard) apply(key string, v Version, copyIn bool) bool {
 		default: // concurrent: keep as sibling
 			kept = append(kept, o)
 		}
-	}
-	if copyIn {
-		v = v.clone()
 	}
 	kept = append(kept, v)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Clock.String() < kept[j].Clock.String() })

@@ -7,8 +7,8 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // VC maps a node name to its logical counter. The zero value (nil map) is
@@ -122,20 +122,27 @@ func Merge(a, b VC) VC {
 }
 
 // String renders the clock deterministically, e.g. "{a:1, b:3}".
-func (v VC) String() string {
-	keys := make([]string, 0, len(v))
+func (v VC) String() string { return string(v.AppendString(nil)) }
+
+// AppendString appends the String form of the clock to dst: the node
+// names in sorted order, each with its counter. It allocates nothing for
+// a clock of up to eight entries once dst has room, so the store can
+// hash clocks on every write.
+func (v VC) AppendString(dst []byte) []byte {
+	var small [8]string
+	names := small[:0]
 	for k := range v {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, k := range names {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		fmt.Fprintf(&b, "%s:%d", k, v[k])
+		dst = append(dst, k...)
+		dst = append(dst, ':')
+		dst = strconv.AppendUint(dst, v[k], 10)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }

@@ -1,6 +1,10 @@
 package vclock
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +157,60 @@ func TestTickPropertyStrictlyAfter(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fmtString is the String of earlier releases, which built the text with
+// fmt. Merkle leaves hash this text, so AppendString must reproduce it
+// byte for byte: a single differing byte would make anti-entropy between
+// old and new nodes repair every key.
+func fmtString(v VC) string {
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s:%d", k, v[k])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func TestAppendStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	clocks := []VC{nil, {}, {"": 0}, {"a": ^uint64(0)}}
+	for range 2000 {
+		c := VC{}
+		for range rng.Intn(12) {
+			name := make([]byte, rng.Intn(6))
+			for j := range name {
+				name[j] = byte(rng.Intn(256))
+			}
+			c[string(name)] = rng.Uint64() >> rng.Intn(64)
+		}
+		clocks = append(clocks, c)
+	}
+	for _, c := range clocks {
+		want := fmtString(c)
+		if got := c.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := string(c.AppendString([]byte("x"))); got != "x"+want {
+			t.Fatalf("AppendString = %q, want %q", got, "x"+want)
+		}
+	}
+}
+
+func TestAppendStringAllocs(t *testing.T) {
+	c := VC{"n0": 3, "n1": 1, "n2": 7}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendString(buf[:0]) }); n != 0 {
+		t.Errorf("AppendString of a 3-entry clock allocates %.0f times, want 0", n)
 	}
 }
