@@ -9,8 +9,9 @@ import (
 // Incremental is a write-maintained Merkle tree: a canonical binary
 // hash-trie keyed by the bits of sha256(key). Where Tree is rebuilt
 // from a full scan per anti-entropy round, Incremental absorbs every
-// store write as it happens in O(depth) ≈ O(log n), so comparing two
-// replicas starts from an always-current root.
+// store write as it happens: the write marks its O(depth) ≈ O(log n)
+// path dirty, and the next Root rehashes only the dirty nodes, so
+// comparing two replicas starts from a current root without a rescan.
 //
 // The shape is canonical — determined solely by the key set, never by
 // the insertion or deletion order: a leaf lives at the shallowest depth
@@ -31,11 +32,28 @@ type Incremental struct {
 }
 
 // trieNode is one trie node: a leaf (leaf != nil) or an interior node
-// with up to two children (a nil child hashes as zeroDigest).
+// with up to two children (a nil child hashes as zeroDigest). hash is
+// current only while dirty is false: writes mark the nodes they change,
+// and every ancestor of a dirty node is dirty, so Root rehashes exactly
+// the dirty nodes, bottom-up.
 type trieNode struct {
 	leaf  *Leaf
 	child [2]*trieNode
 	hash  Digest
+	dirty bool
+}
+
+// leafNode allocates a leaf's trie node and its Leaf together.
+type leafNode struct {
+	trieNode
+	l Leaf
+}
+
+func newLeaf(key string, hash Digest) *trieNode {
+	n := &leafNode{l: Leaf{Key: key, Hash: hash}}
+	n.leaf = &n.l
+	n.dirty = true
+	return &n.trieNode
 }
 
 // NewIncremental returns an empty tree.
@@ -52,83 +70,68 @@ func keyDigest(key string) Digest {
 	return Digest(sha256.Sum256([]byte(key)))
 }
 
+// rehash recomputes the hashes of n's dirty subtree.
 func (n *trieNode) rehash() {
-	left, right := zeroDigest, zeroDigest
-	if n.child[0] != nil {
-		left = n.child[0].hash
+	if !n.dirty {
+		return
 	}
-	if n.child[1] != nil {
-		right = n.child[1].hash
+	n.dirty = false
+	if n.leaf != nil {
+		n.hash = hashLeaf(*n.leaf)
+		return
+	}
+	left, right := zeroDigest, zeroDigest
+	if c := n.child[0]; c != nil {
+		c.rehash()
+		left = c.hash
+	}
+	if c := n.child[1]; c != nil {
+		c.rehash()
+		right = c.hash
 	}
 	n.hash = hashPair(left, right)
 }
 
-// Update inserts the key or replaces its fingerprint.
+// Update inserts the key or replaces its fingerprint. It marks the
+// path it walks dirty and hashes nothing but the key (and, on a split,
+// the displaced key): Root does the rest.
 func (t *Incremental) Update(key string, hash Digest) {
 	kd := keyDigest(key)
-	leaf := &trieNode{leaf: &Leaf{Key: key, Hash: hash}}
-	leaf.hash = hashLeaf(*leaf.leaf)
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.root == nil {
-		t.root = leaf
-		t.count = 1
-		return
-	}
-	// Descend to the insertion point, remembering the path for the
-	// hash fix-up on the way back.
-	var path []*trieNode
-	node := t.root
+	link := &t.root
 	depth := 0
-	for node.leaf == nil {
-		path = append(path, node)
-		b := pathBit(kd, depth)
-		if node.child[b] == nil {
-			node.child[b] = leaf
-			t.count++
-			leaf = nil
-			break
-		}
-		node = node.child[b]
+	for *link != nil && (*link).leaf == nil {
+		n := *link
+		n.dirty = true
+		link = &n.child[pathBit(kd, depth)]
 		depth++
 	}
-	if leaf != nil {
-		if node.leaf.Key == key {
-			// Overwrite in place.
-			node.leaf.Hash = hash
-			node.hash = hashLeaf(*node.leaf)
-		} else {
-			// Split: both keys share the path down to depth; build the
-			// interior chain to their first diverging bit.
-			old := node
-			od := keyDigest(old.leaf.Key)
-			top := &trieNode{}
-			if len(path) == 0 {
-				t.root = top
-			} else {
-				parent := path[len(path)-1]
-				parent.child[pathBit(kd, depth-1)] = top
+	old := *link
+	switch {
+	case old == nil:
+		*link = newLeaf(key, hash)
+	case old.leaf.Key == key:
+		old.leaf.Hash = hash
+		old.dirty = true
+		return
+	default:
+		// Split: both keys share the path down to depth; build the
+		// interior chain to their first diverging bit.
+		od := keyDigest(old.leaf.Key)
+		for d := depth; ; d++ {
+			cur := &trieNode{dirty: true}
+			*link = cur
+			ob, nb := pathBit(od, d), pathBit(kd, d)
+			if ob != nb {
+				cur.child[ob] = old
+				cur.child[nb] = newLeaf(key, hash)
+				break
 			}
-			cur := top
-			for d := depth; ; d++ {
-				ob, nb := pathBit(od, d), pathBit(kd, d)
-				path = append(path, cur)
-				if ob != nb {
-					cur.child[ob] = old
-					cur.child[nb] = leaf
-					break
-				}
-				next := &trieNode{}
-				cur.child[ob] = next
-				cur = next
-			}
-			t.count++
+			link = &cur.child[ob]
 		}
 	}
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i].rehash()
-	}
+	t.count++
 }
 
 // Delete removes the key; absent keys are a no-op.
@@ -136,78 +139,58 @@ func (t *Incremental) Delete(key string) {
 	kd := keyDigest(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.root == nil {
-		return
-	}
-	if t.root.leaf != nil {
-		if t.root.leaf.Key == key {
-			t.root = nil
-			t.count = 0
-		}
-		return
-	}
-	var path []*trieNode
-	node := t.root
-	depth := 0
-	for node.leaf == nil {
-		path = append(path, node)
-		node = node.child[pathBit(kd, depth)]
-		if node == nil {
-			return
-		}
-		depth++
-	}
-	if node.leaf.Key != key {
-		return
-	}
-	t.count--
-	parent := path[len(path)-1]
-	parent.child[pathBit(kd, depth-1)] = nil
-	// Collapse upward: an interior node left with no children vanishes;
-	// one left with a lone LEAF child is replaced by that leaf (the
-	// leaf's unique-prefix depth shrank). A lone interior child stays —
-	// it still separates two or more deeper keys.
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		var only *trieNode
-		children := 0
-		for _, c := range n.child {
-			if c != nil {
-				children++
-				only = c
-			}
-		}
-		if children >= 2 || (children == 1 && only.leaf == nil) {
-			break
-		}
-		var replacement *trieNode // children == 0
-		if children == 1 {
-			replacement = only // lone leaf hoists up
-		}
-		if i == 0 {
-			t.root = replacement
-		} else {
-			up := path[i-1]
-			for b := range up.child {
-				if up.child[b] == n {
-					up.child[b] = replacement
-				}
-			}
-		}
-		path = path[:i]
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i].rehash()
+	var removed bool
+	if t.root, removed = remove(t.root, key, kd, 0); removed {
+		t.count--
 	}
 }
 
-// Root returns the current root digest; the zero Digest when empty.
+// remove deletes the key from the subtree at n, which sits at the given
+// depth, and returns the subtree's new top and whether the key was
+// there. On the way back up it marks the path dirty and collapses it:
+// an interior node left with no children vanishes; one left with a lone
+// LEAF child is replaced by that leaf (the leaf's unique-prefix depth
+// shrank). A lone interior child stays — it still separates two or more
+// deeper keys.
+func remove(n *trieNode, key string, kd Digest, depth int) (*trieNode, bool) {
+	if n == nil {
+		return nil, false
+	}
+	if n.leaf != nil {
+		if n.leaf.Key != key {
+			return n, false
+		}
+		return nil, true
+	}
+	b := pathBit(kd, depth)
+	c, removed := remove(n.child[b], key, kd, depth+1)
+	if !removed {
+		return n, false
+	}
+	n.child[b] = c
+	n.dirty = true
+	other := n.child[1-b]
+	switch {
+	case c == nil && other == nil:
+		return nil, true
+	case c == nil && other.leaf != nil:
+		return other, true
+	case other == nil && c.leaf != nil:
+		return c, true
+	}
+	return n, true
+}
+
+// Root returns the current root digest; the zero Digest when empty. It
+// rehashes whatever the writes since the last Root left dirty, under
+// the write lock.
 func (t *Incremental) Root() Digest {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.root == nil {
 		return zeroDigest
 	}
+	t.root.rehash()
 	return t.root.hash
 }
 

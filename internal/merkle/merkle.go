@@ -72,12 +72,28 @@ func Build(leaves []Leaf) *Tree {
 	return t
 }
 
-func hashLeaf(l Leaf) Digest {
-	return HashValue([]byte("leaf"), []byte(l.Key), l.Hash[:])
+// appendPart lays out one part as HashValue does: its length as 8
+// little-endian bytes, then its bytes.
+func appendPart[T string | []byte](b []byte, p T) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p)))
+	return append(b, p...)
 }
 
+// hashLeaf is HashValue("leaf", key, fingerprint), laid out in a stack
+// buffer; a key longer than 192 bytes grows it onto the heap.
+func hashLeaf(l Leaf) Digest {
+	var buf [3*8 + 4 + 192 + sha256.Size]byte
+	b := appendPart(buf[:0], "leaf")
+	b = appendPart(b, l.Key)
+	return sha256.Sum256(appendPart(b, l.Hash[:]))
+}
+
+// hashPair is HashValue("node", a, b), laid out in a stack buffer.
 func hashPair(a, b Digest) Digest {
-	return HashValue([]byte("node"), a[:], b[:])
+	var buf [3*8 + 4 + 2*sha256.Size]byte
+	p := appendPart(buf[:0], "node")
+	p = appendPart(p, a[:])
+	return sha256.Sum256(appendPart(p, b[:]))
 }
 
 // Root returns the root digest; the zero Digest for an empty tree.
@@ -134,48 +150,4 @@ func DiffKeys(a, b *Tree) []string {
 		diff = append(diff, b.leaves[j].Key)
 	}
 	return diff
-}
-
-// Proof is the authentication path of one leaf: the sibling digests from
-// the leaf to the root. It lets a replica prove a key's version to a peer
-// that only knows the root.
-type Proof struct {
-	Leaf     Leaf
-	Siblings []Digest
-	Index    int // leaf position in the sorted order
-}
-
-// Prove returns the inclusion proof of the key, or false when absent.
-func (t *Tree) Prove(key string) (Proof, bool) {
-	idx := sort.Search(len(t.leaves), func(i int) bool { return t.leaves[i].Key >= key })
-	if idx == len(t.leaves) || t.leaves[idx].Key != key {
-		return Proof{}, false
-	}
-	p := Proof{Leaf: t.leaves[idx], Index: idx}
-	pos := idx
-	for lv := 0; lv < len(t.levels)-1; lv++ {
-		sib := pos ^ 1
-		if sib < len(t.levels[lv]) {
-			p.Siblings = append(p.Siblings, t.levels[lv][sib])
-		} else {
-			p.Siblings = append(p.Siblings, zeroDigest)
-		}
-		pos /= 2
-	}
-	return p, true
-}
-
-// Verify checks an inclusion proof against a root digest.
-func Verify(root Digest, p Proof) bool {
-	h := hashLeaf(p.Leaf)
-	pos := p.Index
-	for _, sib := range p.Siblings {
-		if pos%2 == 0 {
-			h = hashPair(h, sib)
-		} else {
-			h = hashPair(sib, h)
-		}
-		pos /= 2
-	}
-	return h == root
 }

@@ -123,40 +123,6 @@ func TestDiffKeysProperty(t *testing.T) {
 	}
 }
 
-func TestProveVerify(t *testing.T) {
-	var leaves []Leaf
-	for i := 0; i < 13; i++ { // odd count exercises the padding path
-		leaves = append(leaves, leaf(fmt.Sprintf("key%02d", i), fmt.Sprintf("val%d", i)))
-	}
-	tree := Build(leaves)
-	for _, l := range leaves {
-		p, ok := tree.Prove(l.Key)
-		if !ok {
-			t.Fatalf("Prove(%s) failed", l.Key)
-		}
-		if !Verify(tree.Root(), p) {
-			t.Fatalf("Verify(%s) failed", l.Key)
-		}
-		// A tampered leaf hash must not verify.
-		p.Leaf.Hash[0] ^= 1
-		if Verify(tree.Root(), p) {
-			t.Fatalf("tampered proof for %s verified", l.Key)
-		}
-	}
-	if _, ok := tree.Prove("absent"); ok {
-		t.Error("proof produced for absent key")
-	}
-}
-
-func TestProofAgainstWrongRoot(t *testing.T) {
-	a := Build([]Leaf{leaf("a", "1"), leaf("b", "2")})
-	other := Build([]Leaf{leaf("a", "1"), leaf("b", "3")})
-	p, _ := a.Prove("a")
-	if Verify(other.Root(), p) {
-		t.Error("proof verified against foreign root")
-	}
-}
-
 func TestHashValueLengthPrefixing(t *testing.T) {
 	// ("ab","c") must hash differently from ("a","bc").
 	if HashValue([]byte("ab"), []byte("c")) == HashValue([]byte("a"), []byte("bc")) {

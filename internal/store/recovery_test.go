@@ -529,12 +529,12 @@ func TestCheckpointWithPendingRecordSurvivesCrash(t *testing.T) {
 	if seq != flushedBefore {
 		t.Fatalf("checkpoint anchored at %d, want the pre-checkpoint flushed seq %d", seq, flushedBefore)
 	}
-	if seq >= tkt.Seq() {
-		t.Fatalf("checkpoint anchor %d covers record %d that was unflushed at anchor time", seq, tkt.Seq())
+	if seq >= tkt {
+		t.Fatalf("checkpoint anchor %d covers record %d that was unflushed at anchor time", seq, tkt)
 	}
 	// The checkpoint drained the queue: the pending record is durable.
-	if flushed := e.log.LastFlushed(); flushed < tkt.Seq() {
-		t.Fatalf("checkpoint left enqueued record %d unflushed (LastFlushed %d)", tkt.Seq(), flushed)
+	if flushed := e.log.LastFlushed(); flushed < tkt {
+		t.Fatalf("checkpoint left enqueued record %d unflushed (LastFlushed %d)", tkt, flushed)
 	}
 
 	// The on-disk state right now is what a crash immediately after the
@@ -563,7 +563,7 @@ func TestCheckpointWithPendingRecordSurvivesCrash(t *testing.T) {
 		t.Fatalf("restored pending = %v", vs)
 	}
 
-	// The live engine is still healthy: the ticket's Commit is a no-op
+	// The live engine is still healthy: the record's Commit is a no-op
 	// (already flushed) and the log continues past the checkpoint.
 	if err := e.log.Commit(tkt); err != nil {
 		t.Fatal(err)

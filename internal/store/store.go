@@ -20,6 +20,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -387,20 +389,44 @@ var tombBytes = [2][]byte{{0}, {1}}
 
 // leafSum fingerprints a sibling set into its Merkle-leaf hash: the hash
 // of each version's hash over its value, its clock's String text and a
-// tombstone byte. Caller holds the shard lock (or owns vs).
+// tombstone byte, all laid out as merkle.HashValue lays out its parts
+// (each behind its 8-byte little-endian length). It writes that layout
+// itself so that one SHA-256 state serves every version and the
+// versions' sums stay on the stack. Caller holds the shard lock (or
+// owns vs).
 func leafSum(vs []Version) merkle.Digest {
-	parts := make([][]byte, len(vs))
-	sums := make([]merkle.Digest, len(vs))
+	h := sha256.New()
+	var n [8]byte
+	part := func(p []byte) {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	var stack [4]merkle.Digest
+	sums := stack[:0]
+	if len(vs) > len(stack) {
+		sums = make([]merkle.Digest, 0, len(vs))
+	}
 	var text [64]byte
-	for i, v := range vs {
+	for _, v := range vs {
 		tomb := tombBytes[0]
 		if v.Tombstone {
 			tomb = tombBytes[1]
 		}
-		sums[i] = merkle.HashValue(v.Value, v.Clock.AppendString(text[:0]), tomb)
-		parts[i] = sums[i][:]
+		part(v.Value)
+		part(v.Clock.AppendString(text[:0]))
+		part(tomb)
+		var d merkle.Digest
+		h.Sum(d[:0])
+		h.Reset()
+		sums = append(sums, d)
 	}
-	return merkle.HashValue(parts...)
+	for i := range sums {
+		part(sums[i][:])
+	}
+	var d merkle.Digest
+	h.Sum(d[:0])
+	return d
 }
 
 // Get returns the current sibling set of the key (no tombstones filtered;
@@ -452,11 +478,12 @@ type Item struct {
 // it, run the write hook and Enqueue its record — pinning the log order
 // of same-key records to the order they were applied, so a crash replay
 // reconstructs the exact engine state; (3) after every lock is released,
-// Commit only the last ticket. Commit rounds flush the queue in enqueue
-// order and a failed round poisons the log for every later one, so the
-// last ticket's outcome covers every record of the batch, and readers of
-// a shard never stall behind the batch's fsync. Records of different keys
-// commute on replay, so cross-shard ordering is unconstrained.
+// Commit only the last record's sequence number. Commit rounds write
+// records in sequence order and a failed round poisons the log for every
+// later one, so the last record's outcome covers the whole batch, and
+// readers of a shard never stall behind the batch's fsync. Records of
+// different keys commute on replay, so cross-shard ordering is
+// unconstrained.
 //
 // Once a version is applied its record must reach the log, or a write
 // whose caller saw an error would live on in memory and be baked into the
@@ -472,7 +499,7 @@ func (e *Engine) PutBatch(items []Item) (int, error) {
 		}
 	}
 	accepted := 0
-	var last *wal.Ticket
+	var last uint64
 	for i, it := range items {
 		s := e.shardOf(it.Key)
 		s.mu.Lock()
@@ -485,16 +512,16 @@ func (e *Engine) PutBatch(items []Item) (int, error) {
 			e.hook(it.Key, leafSum(s.data[it.Key]), false)
 		}
 		if e.log != nil {
-			t, err := e.log.Enqueue(recs[i])
+			seq, err := e.log.Enqueue(recs[i])
 			if err != nil {
 				s.mu.Unlock()
 				return accepted, err
 			}
-			last = t
+			last = seq
 		}
 		s.mu.Unlock()
 	}
-	if last == nil {
+	if last == 0 {
 		return accepted, nil
 	}
 	return accepted, e.log.Commit(last)
@@ -518,7 +545,7 @@ func (s *shard) apply(key string, v Version) bool {
 		}
 	}
 	kept = append(kept, v)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Clock.String() < kept[j].Clock.String() })
+	sortSiblings(kept)
 	s.set(key, kept)
 	s.bytes.Add(int64(len(v.Value)))
 	return true
@@ -548,12 +575,12 @@ func (e *Engine) Drop(key string) (int64, error) {
 		s.mu.Unlock()
 		return freed, nil
 	}
-	t, err := e.log.Enqueue(rec)
+	seq, err := e.log.Enqueue(rec)
 	s.mu.Unlock()
 	if err != nil {
 		return freed, err
 	}
-	return freed, e.log.Commit(t)
+	return freed, e.log.Commit(seq)
 }
 
 // drop removes the key; caller holds mu. existed distinguishes a real
@@ -617,8 +644,30 @@ func MergeSiblings(versions []Version) []Version {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Clock.String() < out[j].Clock.String() })
+	sortSiblings(out)
 	return out
+}
+
+// sortSiblings orders a sibling set by its clocks' String text, the order
+// leafSum fingerprints. It renders each clock once rather than twice per
+// comparison, and runs sort.Slice over the same comparisons as before,
+// so siblings whose texts tie keep the order they always had.
+func sortSiblings(vs []Version) {
+	if len(vs) < 2 {
+		return
+	}
+	type keyed struct {
+		text string
+		v    Version
+	}
+	ks := make([]keyed, len(vs))
+	for i, v := range vs {
+		ks[i] = keyed{v.Clock.String(), v}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].text < ks[j].text })
+	for i := range ks {
+		vs[i] = ks[i].v
+	}
 }
 
 // Keys returns all keys (including tombstoned ones), sorted.

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -380,5 +382,30 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Get(fmt.Sprintf("k%d", i%1000))
+	}
+}
+
+// TestSortSiblingsMatchesSortSlice: sortSiblings puts every sibling set,
+// ties in clock text included, in the order the per-comparison
+// sort.Slice it replaced did, so no stored set and no leafSum moves.
+func TestSortSiblingsMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 500; trial++ {
+		vs := make([]Version, 1+rng.Intn(20))
+		for i := range vs {
+			c := vclock.VC{}
+			for n := rng.Intn(3); n > 0; n-- {
+				c[fmt.Sprintf("n%d", rng.Intn(3))] = uint64(rng.Intn(3))
+			}
+			vs[i] = Version{Value: []byte{byte(i)}, Clock: c}
+		}
+		want := append([]Version(nil), vs...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Clock.String() < want[j].Clock.String() })
+		sortSiblings(vs)
+		for i := range vs {
+			if vs[i].Value[0] != want[i].Value[0] {
+				t.Fatalf("trial %d: position %d holds sibling %d, sort.Slice put %d there", trial, i, vs[i].Value[0], want[i].Value[0])
+			}
+		}
 	}
 }

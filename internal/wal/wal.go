@@ -14,11 +14,12 @@
 // to the data written since the last snapshot rather than to all history.
 //
 // Appends use group commit: while one appender (the commit leader) is
-// writing and fsyncing, concurrent appenders enqueue their frames, and
-// the leader drains the whole queue with a single write and a single
-// fsync per batch. Under contention this amortizes the dominant fsync
-// cost over many records without weakening durability — Append still
-// returns only after the record is on stable storage.
+// writing and fsyncing, concurrent appenders frame their records into
+// the log's pending buffer, and the next leader writes that whole buffer
+// with a single write and a single fsync per round. Under contention
+// this amortizes the dominant fsync cost over many records without
+// weakening durability — Append still returns only after the record is
+// on stable storage.
 //
 // Frame layout (little endian):
 //
@@ -83,19 +84,9 @@ type segment struct {
 	first, last uint64 // sequence numbers of its first and last record
 }
 
-// Ticket is one record enqueued for group commit; Commit waits for its
-// durability. Tickets order records: the log writes them in enqueue
-// order, so callers serializing Enqueue (e.g. under a store shard lock)
-// get matching log order without holding their lock across the fsync.
-type Ticket struct {
-	seq     uint64
-	frame   []byte
-	flushed bool
-	err     error
-}
-
-// Seq returns the sequence number the log assigned to this record.
-func (t *Ticket) Seq() uint64 { return t.seq }
+// maxSpareBytes bounds the round buffer a log keeps for reuse: a buffer
+// that grew past it for one large round is dropped, not kept.
+const maxSpareBytes = 1 << 20
 
 // Log is an append-only record log backed by a directory of segment
 // files. Append is safe for concurrent use.
@@ -113,7 +104,12 @@ type Log struct {
 	closed      bool
 	committing  bool
 	failed      error // sticky write/rotate failure; the log refuses new work
-	queue       []*Ticket
+	// pending holds the frames enqueued since the last round began, in
+	// sequence order: records lastFlushed+1 .. nextSeq-1 while no round
+	// is writing. spare is the previous round's buffer, kept for the
+	// next round once the commit that wrote it has returned.
+	pending []byte
+	spare   []byte
 	// records counts appended + replayed records, for observability.
 	records int64
 	// syncs counts fsyncs issued by commits; records/syncs is the group
@@ -346,7 +342,7 @@ func (l *Log) TruncateBefore(seq uint64) (int, error) {
 	}
 	// Seal an idle active segment whose records are all reclaimable, so
 	// they can be deleted below instead of lingering until size rotation.
-	if !l.committing && len(l.queue) == 0 &&
+	if !l.committing && len(l.pending) == 0 &&
 		l.lastFlushed >= l.activeFirst && l.lastFlushed < seq {
 		if err := l.rotate(); err != nil {
 			l.failed = err
@@ -377,65 +373,64 @@ func (l *Log) TruncateBefore(seq uint64) (int, error) {
 	return removed, firstErr
 }
 
-// frameRecord builds the on-disk frame of a payload with the sequence
-// field left zero; Enqueue fills it once the log assigns the seq.
-func frameRecord(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], magic)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	return buf
-}
-
 // Append frames one record and returns its sequence number once it is
 // written and synced — Enqueue followed by Commit.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	t, err := l.Enqueue(payload)
+	seq, err := l.Enqueue(payload)
 	if err != nil {
 		return 0, err
 	}
-	return t.seq, l.Commit(t)
+	return seq, l.Commit(seq)
 }
 
-// Enqueue frames the record, assigns it the next sequence number and
-// reserves its position in the log order. It never blocks on I/O, so
-// callers may enqueue while holding their own locks (the store does, per
-// shard, to pin log order to apply order) and Commit outside them. An
-// enqueued record becomes durable at the next commit round even if the
-// caller delays Commit.
-func (l *Log) Enqueue(payload []byte) (*Ticket, error) {
+// Enqueue assigns the record the next sequence number and frames a copy
+// of it into the log's pending buffer, which fixes its position in the
+// log order. It never blocks on I/O, so callers may enqueue while
+// holding their own locks (the store does, per shard, to pin log order
+// to apply order) and Commit outside them. An enqueued record becomes
+// durable at the next commit round even if the caller delays Commit.
+func (l *Log) Enqueue(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordSize {
-		return nil, fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), MaxRecordSize)
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), MaxRecordSize)
 	}
-	t := &Ticket{frame: frameRecord(payload)}
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
 	if l.failed != nil {
-		return nil, l.failed
+		return 0, l.failed
 	}
-	t.seq = l.nextSeq
+	seq := l.nextSeq
 	l.nextSeq++
-	binary.LittleEndian.PutUint64(t.frame[12:20], t.seq)
-	l.queue = append(l.queue, t)
-	return t, nil
+	binary.LittleEndian.PutUint64(hdr[12:20], seq)
+	l.pending = append(l.pending, hdr[:]...)
+	l.pending = append(l.pending, payload...)
+	return seq, nil
 }
 
-// Commit blocks until the ticket's record is on stable storage (or the
-// commit that covered it failed). If another appender is mid-commit the
-// record rides the next batch; otherwise this caller becomes the commit
-// leader, flushes the whole pending queue — one write, one fsync — and
-// hands leadership to whoever queued behind it, so no leader ever
-// services an unbounded stream of other goroutines' records.
-func (l *Log) Commit(t *Ticket) error {
+// Commit blocks until the record with sequence number seq is on stable
+// storage, or returns the log's sticky failure if the round that covered
+// it (or an earlier one) failed: rounds commit in sequence order, so a
+// record past lastFlushed on a failed log can never become durable. If
+// another appender is mid-commit the record rides the next round;
+// otherwise this caller becomes the commit leader, writes the whole
+// pending buffer — one write, one fsync — and hands leadership to
+// whoever enqueued behind it, so no leader ever services an unbounded
+// stream of other goroutines' records.
+func (l *Log) Commit(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
-		if t.flushed {
-			return t.err
+		if l.lastFlushed >= seq {
+			return nil
+		}
+		if l.failed != nil {
+			return l.failed
 		}
 		if !l.committing {
 			break
@@ -443,48 +438,44 @@ func (l *Log) Commit(t *Ticket) error {
 		l.idle.Wait()
 	}
 	if l.closed {
-		// Close drains the queue, so an unflushed ticket here means the
-		// log was closed and its final round already ran without us —
-		// only possible for a ticket enqueued on a closed log, which
-		// Enqueue prevents. Defensive: report closed.
+		// Close drains the pending buffer, so an unflushed record here
+		// means the log was closed and its final round already ran
+		// without it — only possible for a seq the log never assigned.
+		// Defensive: report closed.
 		return ErrClosed
 	}
-	// Become leader for exactly the current batch (which contains t).
+	// Become leader for exactly the current round (which contains seq).
 	l.flushRound()
-	return t.err
+	if l.lastFlushed >= seq {
+		return nil
+	}
+	return l.failed
 }
 
-// flushRound commits the whole pending queue as one batch: one write,
+// flushRound commits the whole pending buffer as one round: one write,
 // one fsync, then a size-triggered rotation if the active segment is
-// full. Caller holds l.mu with committing false and a non-empty queue;
-// it returns still holding l.mu.
+// full. Caller holds l.mu with committing false and a non-empty pending
+// buffer; it returns still holding l.mu.
 func (l *Log) flushRound() {
-	l.committing = true
-	batch := l.queue
-	l.queue = nil
 	// A previous round failed mid-write: the tail of the active segment is
 	// in an unknown state, so writing new frames after the torn bytes
 	// would acknowledge records a replay can never reach. Fail the whole
-	// batch without touching the file.
+	// round without touching the file.
 	if l.failed != nil {
-		for _, b := range batch {
-			b.flushed = true
-			b.err = l.failed
-		}
-		l.committing = false
-		l.idle.Broadcast()
+		l.pending = l.pending[:0]
 		return
 	}
+	l.committing = true
+	buf, last := l.pending, l.nextSeq-1
+	l.pending, l.spare = l.spare[:0], nil
 	l.mu.Unlock()
-	err := l.commit(batch)
+	err := l.commit(buf)
 	l.mu.Lock()
 	if err == nil {
-		l.records += int64(len(batch))
+		l.records += int64(last - l.lastFlushed)
 		l.syncs++
-		l.lastFlushed = batch[len(batch)-1].seq
-		for _, b := range batch {
-			l.size += int64(len(b.frame))
-		}
+		l.lastFlushed = last
+		l.size += int64(len(buf))
 		if l.size >= l.segBytes {
 			if rerr := l.rotate(); rerr != nil {
 				l.failed = rerr
@@ -496,29 +487,17 @@ func (l *Log) flushRound() {
 		// sequence numbers after a gap.
 		l.failed = err
 	}
-	for _, b := range batch {
-		b.flushed = true
-		b.err = err
+	if cap(buf) <= maxSpareBytes {
+		l.spare = buf[:0]
 	}
 	l.committing = false
 	l.idle.Broadcast()
 }
 
-// commit writes every frame of the batch and fsyncs once. Called by the
-// commit leader only, without holding l.mu — enqueuing is what needs the
-// lock, not the file I/O.
-func (l *Log) commit(batch []*Ticket) error {
-	buf := batch[0].frame
-	if len(batch) > 1 {
-		total := 0
-		for _, b := range batch {
-			total += len(b.frame)
-		}
-		buf = make([]byte, 0, total)
-		for _, b := range batch {
-			buf = append(buf, b.frame...)
-		}
-	}
+// commit writes a round's frames and fsyncs once. Called by the commit
+// leader only, without holding l.mu — enqueuing is what needs the lock,
+// not the file I/O.
+func (l *Log) commit(buf []byte) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: write batch: %w", err)
 	}
@@ -588,7 +567,7 @@ func (l *Log) FirstSeq() uint64 {
 
 // Flush blocks until every record enqueued before the call is durable,
 // returning the log's sticky failure if any covering commit round failed.
-// The store's checkpoint drains the group-commit queue with it after
+// The store's checkpoint drains the pending records with it after
 // copying shard state: once Flush returns nil, every record the copies
 // can contain is on stable storage, so nothing in a snapshot can belong
 // to a write whose caller saw an error.
@@ -601,7 +580,7 @@ func (l *Log) Flush() error {
 			return l.failed
 		}
 		if !l.committing {
-			if len(l.queue) == 0 {
+			if len(l.pending) == 0 {
 				// Every assigned seq was covered by a finished round; the
 				// only way lastFlushed can still lag is a failed round.
 				return l.failed
@@ -647,7 +626,7 @@ func (l *Log) Close() error {
 	for l.committing {
 		l.idle.Wait()
 	}
-	if len(l.queue) > 0 {
+	if len(l.pending) > 0 {
 		l.flushRound()
 	}
 	l.mu.Unlock()

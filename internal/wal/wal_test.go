@@ -612,7 +612,7 @@ func TestFailedLogRefusesLaterRounds(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	l, _ := openCollect(t, dir)
 	defer l.Close()
-	// A ticket parked before the failure is injected.
+	// A record parked before the failure is injected.
 	parked, err := l.Enqueue([]byte("parked-during-failure"))
 	if err != nil {
 		t.Fatal(err)
