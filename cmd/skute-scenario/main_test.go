@@ -61,19 +61,26 @@ func TestRunViolationExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestRunCorpusInproc is the cheap end-to-end path of the CLI: the
-// non-process-only corpus against the embedded cluster. Gated behind
-// -short (the CI scenarios job runs the real-binary version).
+// TestRunCorpusInproc is the cheap end-to-end path of the CLI wiring:
+// `-inproc run` on one in-process scenario and one process-only one.
+// internal/scenario's TestCorpus runs every in-process scenario; this
+// test checks only that the CLI runs, skips and reports them. Gated
+// behind -short (the CI scenarios job runs the real-binary corpus).
 func TestRunCorpusInproc(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-minute soak")
+		t.Skip("runs a full scenario")
 	}
 	var out, errB bytes.Buffer
-	code := run([]string{"-inproc", "-scale", "0.5", "-dir", t.TempDir(), "run", filepath.Join("..", "..", "scenarios")}, &out, &errB)
+	dir := filepath.Join("..", "..", "scenarios")
+	code := run([]string{"-inproc", "-scale", "0.5", "-dir", t.TempDir(), "run",
+		filepath.Join(dir, "steady-state-quorum.yaml"),
+		filepath.Join(dir, "suspicion-eviction-then-refute.yaml")}, &out, &errB)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errB.String())
 	}
-	if !strings.Contains(out.String(), "PASS") {
-		t.Fatalf("no PASS summary:\n%s", out.String())
+	for _, want := range []string{"PASS", "SKIP (process-only"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("no %q line:\n%s", want, out.String())
+		}
 	}
 }

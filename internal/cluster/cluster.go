@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"skute/internal/availability"
@@ -265,14 +264,4 @@ func buildLayout(cfg Config) (*ring.MultiRing, map[ring.RingID]RingSpec, error) 
 		}
 	}
 	return mr, specs, nil
-}
-
-// boardOf elects the board: the lowest-named alive node.
-func boardOf(alive []string) (string, bool) {
-	if len(alive) == 0 {
-		return "", false
-	}
-	sorted := append([]string(nil), alive...)
-	sort.Strings(sorted)
-	return sorted[0], true
 }

@@ -530,15 +530,6 @@ func TestHeartbeatsKeepPeersAlive(t *testing.T) {
 	}
 }
 
-func TestBoardElection(t *testing.T) {
-	if b, ok := boardOf([]string{"n3", "n1", "n2"}); !ok || b != "n1" {
-		t.Errorf("board = %q, %v", b, ok)
-	}
-	if _, ok := boardOf(nil); ok {
-		t.Error("board elected from empty set")
-	}
-}
-
 func TestSplitStorageKey(t *testing.T) {
 	user, id := splitStorageKey("appA/gold/user:42/profile")
 	if user != "user:42/profile" || id != goldRing {

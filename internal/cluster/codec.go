@@ -50,15 +50,15 @@ const (
 	tagClientMGetResp
 	tagClientMPutReq
 	tagFetchChunkResp
-	// Control plane: heartbeats, membership, placement, economy,
+	// Control plane: heartbeats, membership, placement, adoption,
 	// anti-entropy leaves and transfer requests.
 	tagHeartbeatReq
 	tagHeartbeatResp
 	tagLeavesReq
 	tagLeavesResp
 	tagAdoptReq
-	tagAnnounceReq
-	tagRentsResp
+	_ // 16: retired rent announcement, never reused
+	_ // 17: retired rent list, never reused
 	tagDeltaReq
 	tagDeltaPullReq
 	tagDeltaPullResp
@@ -84,11 +84,10 @@ const (
 	minClient       = 3                     // key, value count, context count
 	minRingSum      = 3                     // ring (two strings), sum
 	minInfo         = 3*minString + 3*8 + 1 // three strings, three float64s, capacity
-	minMemberDelta  = minInfo + 2           // info, state, incarnation
+	minMemberDelta  = minInfo + 2 + 8 + 1   // info, state, incarnation, rent, rent seq
 	minPlaceDelta   = 6                     // ring, part, replica count, version, origin
 	minRingSpec     = 4                     // app, class, partitions, replicas
-	minNodeRent     = 1 + 8
-	minMemberRecord = 6 // name, addr, state, incarnation, confirmed, age
+	minMemberRecord = 6                     // name, addr, state, incarnation, confirmed, age
 )
 
 // wireMarshaler is implemented by every payload type (on the value),
@@ -276,6 +275,8 @@ func (e *wireEnc) memberDelta(d membership.Delta) {
 	e.info(d.Info)
 	e.byte(byte(d.State))
 	e.uvarint(d.Incarnation)
+	e.float64(d.Rent)
+	e.uvarint(d.RentSeq)
 }
 
 func (e *wireEnc) placeDelta(d placement.Delta) {
@@ -532,7 +533,8 @@ func (d *wireDec) info() membership.Info {
 }
 
 func (d *wireDec) memberDelta() membership.Delta {
-	return membership.Delta{Info: d.info(), State: membership.State(d.byte()), Incarnation: d.uvarint()}
+	return membership.Delta{Info: d.info(), State: membership.State(d.byte()), Incarnation: d.uvarint(),
+		Rent: d.float64(), RentSeq: d.uvarint()}
 }
 
 func (d *wireDec) placeDelta() placement.Delta {
@@ -835,30 +837,6 @@ func (m adoptReq) marshalWire(e *wireEnc) {
 func (m *adoptReq) unmarshalWire(d *wireDec) {
 	d.tag(tagAdoptReq)
 	*m = adoptReq{Ring: d.ring(), Part: d.int(), FromAddr: d.string()}
-}
-
-func (m announceReq) marshalWire(e *wireEnc) {
-	e.byte(tagAnnounceReq)
-	e.string(m.Node)
-	e.float64(m.Rent)
-}
-
-func (m *announceReq) unmarshalWire(d *wireDec) {
-	d.tag(tagAnnounceReq)
-	*m = announceReq{Node: d.string(), Rent: d.float64()}
-}
-
-func (m rentsResp) marshalWire(e *wireEnc) {
-	e.byte(tagRentsResp)
-	encodeList(e, m.Rents, func(r nodeRent) {
-		e.string(r.Node)
-		e.float64(r.Rent)
-	})
-}
-
-func (m *rentsResp) unmarshalWire(d *wireDec) {
-	d.tag(tagRentsResp)
-	m.Rents = decodeList(d, minNodeRent, func() nodeRent { return nodeRent{Node: d.string(), Rent: d.float64()} })
 }
 
 func (m deltaReq) marshalWire(e *wireEnc) {

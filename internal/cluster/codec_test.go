@@ -35,7 +35,7 @@ func codecSamples() []any {
 	tomb := store.Version{Clock: vclock.VC{"n2": 1 << 40}, Tombstone: true}
 	items := []kv{{Key: "k", Versions: []store.Version{ver, tomb}}, {Key: "empty"}}
 	info := membership.Info{Name: "n0", Addr: "10.0.0.1:7101", LocPath: "eu/ch/dc0/r0/k0/s0", Confidence: 0.99, MonthlyRent: 100, Capacity: 16 << 30, QueryCapacity: 10000}
-	member := membership.Delta{Info: info, State: membership.Suspect, Incarnation: 3}
+	member := membership.Delta{Info: info, State: membership.Suspect, Incarnation: 3, Rent: 3.5, RentSeq: 1 << 60}
 	pdelta := placement.Delta{Ring: id, Part: 3, Replicas: []string{"n0", "n1"}, Version: 7, Origin: "n1"}
 	return []any{
 		multiGetReq{Ring: id, Keys: []string{"a", "b", "c"}},
@@ -53,8 +53,6 @@ func codecSamples() []any {
 		leavesReq{Ring: id, Part: 5, Root: []byte{0xde, 0xad}},
 		leavesResp{Keys: []string{"a"}, Hashes: [][]byte{{1, 2, 3}}},
 		adoptReq{Ring: id, Part: 2, FromAddr: "10.0.0.2:7102"},
-		announceReq{Node: "n1", Rent: 150.5},
-		rentsResp{Rents: []nodeRent{{Node: "n0", Rent: 100}, {Node: "n1", Rent: 150.5}}},
 		deltaReq{Deltas: []placement.Delta{pdelta}},
 		deltaPullReq{Digest: placement.Digest{{App: "app2"}: 2}},
 		deltaPullResp{Deltas: []placement.Delta{pdelta, {Ring: id}}},
@@ -118,6 +116,37 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	if err := decode(nil, &heartbeatReq{}); err == nil {
 		t.Error("decode accepted an empty payload")
 	}
+}
+
+// TestRetiredTagsRejected: tags 16 and 17 carried the rent announcement
+// and the rent list of the retired board node. A payload under either
+// tag, as an older binary would send it, decodes into no payload type
+// and fails as a codec mismatch.
+func TestRetiredTagsRejected(t *testing.T) {
+	if tagAdoptReq != 15 || tagDeltaReq != 18 {
+		t.Fatalf("tags renumbered: adopt %d, delta %d, want 15 and 18", tagAdoptReq, tagDeltaReq)
+	}
+	for _, p := range retiredPayloads(t) {
+		for _, s := range codecSamples() {
+			if err := decode(p, newPtr(s)); err == nil || !strings.Contains(err.Error(), "codec mismatch") {
+				t.Errorf("tag %d into %T: err = %v, want a codec mismatch", p[1], s, err)
+			}
+		}
+	}
+}
+
+// retiredPayloads are the last golden encodings of the payloads under
+// the retired tags 16 and 17: a rent announcement and a rent list.
+func retiredPayloads(t testing.TB) [][]byte {
+	var out [][]byte
+	for _, h := range []string{"0110026e310000000000d06240", "011102026e300000000000005940026e310000000000d06240"} {
+		p, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // TestGoldenPayloads pins the wire format: testdata/payload holds one
@@ -203,8 +232,6 @@ func TestDecodeBoundsClaimedCounts(t *testing.T) {
 	add("leavesResp.Keys", &leavesResp{}, tagLeavesResp, z)
 	add("leavesResp.Hashes", &leavesResp{}, tagLeavesResp, z, z)
 	add("adoptReq.FromAddr", &adoptReq{}, tagAdoptReq, ringZ, z)
-	add("announceReq.Node", &announceReq{}, tagAnnounceReq)
-	add("rentsResp.Rents", &rentsResp{}, tagRentsResp)
 	add("deltaReq.Deltas", &deltaReq{}, tagDeltaReq)
 	add("deltaReq.Replicas", &deltaReq{}, tagDeltaReq, []byte{1}, ringZ, z)
 	add("deltaPullReq.Digest", &deltaPullReq{}, tagDeltaPullReq)
@@ -343,12 +370,16 @@ func randomValue(rng *rand.Rand, t reflect.Type, depth int) reflect.Value {
 
 // FuzzDecodePayload: decode reads bytes off the socket, so no input may
 // panic it or make it allocate past its bytes. Every input is decoded
-// into every payload type. The seeds are the encoded samples; plain go
-// test runs them, go test -fuzz explores from them.
+// into every payload type. The seeds are the encoded samples and the
+// payloads under the retired tags, which an older binary may still
+// send; plain go test runs them, go test -fuzz explores from them.
 func FuzzDecodePayload(f *testing.F) {
 	samples := codecSamples()
 	for _, s := range samples {
 		f.Add(encode(s.(wireMarshaler)))
+	}
+	for _, p := range retiredPayloads(f) {
+		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for _, s := range samples {

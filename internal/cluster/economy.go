@@ -16,7 +16,6 @@ import (
 
 // EpochReport summarizes what one economic epoch did on this node.
 type EpochReport struct {
-	Board        string
 	Rent         float64
 	Replications int
 	Migrations   int
@@ -25,14 +24,13 @@ type EpochReport struct {
 }
 
 // AnnounceRent computes this node's virtual rent (Eq. 1) from its storage
-// usage and the query traffic since the last epoch, and announces it to
-// the board (the lowest-named alive node). It returns the rent and the
-// board's name. The context bounds the announcement RPC.
-func (n *Node) AnnounceRent(ctx context.Context, params economy.RentParams) (float64, string, error) {
-	board, ok := boardOf(n.aliveNames())
-	if !ok {
-		return 0, "", fmt.Errorf("cluster: no alive nodes to elect a board")
-	}
+// usage and the query traffic since the last epoch, stamps it into this
+// node's own member record and pushes that record to every peer. The
+// member table is the paper's board: heartbeats, member pulls and join
+// responses carry the record to any peer the push missed. It returns
+// the rent and its stamp; the error is the context's, when it ended
+// before the push did.
+func (n *Node) AnnounceRent(ctx context.Context, params economy.RentParams) (float64, uint64, error) {
 	n.qmu.Lock()
 	var q float64
 	for _, c := range n.queries {
@@ -43,78 +41,45 @@ func (n *Node) AnnounceRent(ctx context.Context, params economy.RentParams) (flo
 	load := q / n.self.QueryCapacity
 	rent := params.Rent(params.UsagePrice(n.self.MonthlyRent), usage, load)
 
-	env := transport.Envelope{Kind: kindAnnounce, Payload: encode(announceReq{Node: n.self.Name, Rent: rent})}
-	if board == n.self.Name {
-		n.mu.Lock()
-		n.rents[n.self.Name] = rent
-		n.mu.Unlock()
-	} else {
-		info, _ := n.info(board)
-		if _, err := n.tr.Call(ctx, info.Addr, env); err != nil {
-			return rent, board, fmt.Errorf("cluster: announce to board %s: %w", board, err)
-		}
-	}
-	return rent, board, nil
+	d := n.mt.StampRent(rent, n.Now())
+	n.spreadMembers(ctx, d)
+	return rent, d.RentSeq, ctx.Err()
 }
 
-// fetchRents pulls the rent board.
-func (n *Node) fetchRents(ctx context.Context) (map[string]float64, string, error) {
-	board, ok := boardOf(n.aliveNames())
-	if !ok {
-		return nil, "", fmt.Errorf("cluster: no alive nodes to elect a board")
-	}
-	if board == n.self.Name {
-		n.mu.RLock()
-		out := make(map[string]float64, len(n.rents))
-		for k, v := range n.rents {
-			out[k] = v
+// rents reads the board from the member table: the rent of every alive
+// member that has announced one, and the least of those rents. A
+// departed member's rent leaves with it.
+func (n *Node) rents() (map[string]float64, float64) {
+	rents := make(map[string]float64)
+	minRent := 0.0
+	for _, m := range n.mt.Members() {
+		if m.RentSeq == 0 || !n.alive(m.Info.Name) {
+			continue
 		}
-		n.mu.RUnlock()
-		return out, board, nil
+		if len(rents) == 0 || m.Rent < minRent {
+			minRent = m.Rent
+		}
+		rents[m.Info.Name] = m.Rent
 	}
-	info, _ := n.info(board)
-	resp, err := n.tr.Call(ctx, info.Addr, transport.Envelope{Kind: kindRents})
-	if err != nil {
-		return nil, board, err
-	}
-	var rr rentsResp
-	if err := decode(resp.Payload, &rr); err != nil {
-		return nil, board, err
-	}
-	rents := make(map[string]float64, len(rr.Rents))
-	for _, r := range rr.Rents {
-		rents[r.Node] = r.Rent
-	}
-	return rents, board, nil
+	return rents, minRent
 }
 
 // RunEconomicEpoch closes the epoch on this node: it runs the Section
 // II-C decision process for every virtual node hosted here, using the
-// rents on the board, and executes the decisions across the cluster
-// (replicate = adopt on the target, migrate = adopt + local drop, suicide
-// = local drop). Every replica-set change is stamped as a versioned
-// placement delta — applied locally, pushed to alive peers, healed onto
-// stragglers by the gossip digest exchange. Query counters reset
-// afterwards. Callers should AnnounceRent on every node first. The
-// context bounds all the epoch's RPCs (rent fetch, adopts, delta pushes).
+// rents in the member table, and executes the decisions across the
+// cluster (replicate = adopt on the target, migrate = adopt + local
+// drop, suicide = local drop). Every replica-set change is stamped as a
+// versioned placement delta — applied locally, pushed to alive peers,
+// healed onto stragglers by the gossip digest exchange. Query counters
+// reset afterwards. Callers should AnnounceRent on every node first. The
+// context bounds all the epoch's RPCs (adopts, delta pushes).
 //
 // Hosted vnodes manage disjoint partitions, so their decisions run
 // concurrently on a pool of Config.EpochWorkers workers; replica-table
 // mutations stay serialized behind the node lock.
 func (n *Node) RunEconomicEpoch(ctx context.Context, params agent.Params, rentParams economy.RentParams) (EpochReport, error) {
-	rents, board, err := n.fetchRents(ctx)
-	if err != nil {
-		return EpochReport{}, err
-	}
-	rep := EpochReport{Board: board}
-	rep.Rent = rents[n.self.Name]
-	minRent := 0.0
-	first := true
-	for _, r := range rents {
-		if first || r < minRent {
-			minRent, first = r, false
-		}
-	}
+	rents, minRent := n.rents()
+	rep := EpochReport{Rent: rents[n.self.Name]}
 
 	// Deterministic enumeration of hosted vnodes.
 	type hosted struct {
@@ -178,7 +143,7 @@ func (n *Node) RunEconomicEpoch(ctx context.Context, params agent.Params, rentPa
 			// atomic sum, so this stays cheap).
 			StoragePressure: float64(n.eng.Bytes()) / float64(n.self.Capacity),
 			G:               1,
-			Rent:            rents[n.self.Name],
+			Rent:            rep.Rent,
 			MinRent:         minRent,
 			ConsistencyCost: 0.1 * float64(len(hosts)),
 		})
@@ -241,8 +206,8 @@ func (n *Node) RunEconomicEpoch(ctx context.Context, params agent.Params, rentPa
 	n.counters.EpochMigrations.Add(int64(rep.Migrations))
 	n.counters.EpochSuicides.Add(int64(rep.Suicides))
 	if rep.Repairs+rep.Replications+rep.Migrations+rep.Suicides > 0 {
-		n.trace.Add("epoch", "board=%s rent=%.3f repairs=%d replications=%d migrations=%d suicides=%d",
-			board, rep.Rent, rep.Repairs, rep.Replications, rep.Migrations, rep.Suicides)
+		n.trace.Add("epoch", "rent=%.3f repairs=%d replications=%d migrations=%d suicides=%d",
+			rep.Rent, rep.Repairs, rep.Replications, rep.Migrations, rep.Suicides)
 	}
 
 	n.qmu.Lock()
@@ -312,9 +277,10 @@ func (n *Node) hostsOf(p *ring.Partition) []availability.Host {
 // candidatesFor lists alive members not hosting the partition, priced
 // from the board (members without an announced rent are skipped). The
 // member table — not the boot descriptor — is the candidate source, so
-// freshly joined nodes become adoption targets as soon as their rent
-// lands on the board. The replica table is read under the node lock:
-// peers broadcast assignment changes concurrently with epoch decisions.
+// freshly joined nodes become adoption targets as soon as their first
+// announced rent reaches this node. The replica table is read under the
+// node lock: peers broadcast assignment changes concurrently with epoch
+// decisions.
 func (n *Node) candidatesFor(p *ring.Partition, rents map[string]float64) []availability.Candidate {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

@@ -108,9 +108,9 @@ func (n *Node) pullMembers(ctx context.Context, peer string) error {
 }
 
 // spreadMembers pushes fresh member records (a join, a suspicion, a
-// death, a refutation) to every non-terminal peer, best effort: a peer
-// that misses the push converges through the digest exchange riding the
-// next heartbeats.
+// death, a refutation, a rent) to every non-terminal peer, best effort:
+// a peer that misses the push converges through the next heartbeats,
+// which carry the sender's own record and the digest exchange.
 func (n *Node) spreadMembers(ctx context.Context, ds ...membership.Delta) {
 	if len(ds) == 0 {
 		return
@@ -339,7 +339,6 @@ func JoinNode(ctx context.Context, self NodeInfo, seedAddr string, opts JoinOpti
 		specs:        specs,
 		ledgers:      make(map[string]*ledgerState),
 		queries:      make(map[string]float64),
-		rents:        make(map[string]float64),
 		rng:          rand.New(rand.NewSource(int64(len(jr.Members)) + 1)),
 		tel:          telemetry.NewRegistry(),
 	}

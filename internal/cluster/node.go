@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +25,9 @@ const (
 	kindHeartbeat = "heartbeat"
 	kindLeaves    = "merkle-leaves"
 	kindAdopt     = "adopt"
-	kindAnnounce  = "rent-announce"
-	kindRents     = "rent-list"
 	// Membership kinds: join-via-any-seed, the digest-driven member
 	// pull, and the active push of fresh member records (suspicions,
-	// deaths, joins) — see membership.go.
+	// deaths, joins, rents) — see membership.go.
 	kindJoin        = "member-join"
 	kindMemberPull  = "member-pull"
 	kindMemberDelta = "member-delta"
@@ -157,17 +153,6 @@ type (
 	clientMembersResp struct {
 		Members []MemberRecord
 	}
-	announceReq struct {
-		Node string
-		Rent float64
-	}
-	rentsResp struct {
-		Rents []nodeRent // sorted by node
-	}
-	nodeRent struct {
-		Node string
-		Rent float64
-	}
 	deltaReq struct {
 		Deltas []placement.Delta
 	}
@@ -259,7 +244,7 @@ type Node struct {
 	// mt is the SWIM-style member table — the single authority on peer
 	// liveness and metadata (see internal/membership). It subsumes the
 	// old heartbeat detector and the static cfg.Nodes peer view: quorum
-	// fan-out, board election and epoch candidates all read from it.
+	// fan-out, epoch rents and epoch candidates all read from it.
 	mt           *membership.Table
 	suspectAfter time.Duration
 	deadAfter    time.Duration
@@ -338,7 +323,7 @@ type Node struct {
 	repairInflight atomic.Int32
 
 	// mu guards the ring layout, the placement map's materialization into
-	// it, ledgers and the board copy. The quorum read/write path only ever
+	// it, and ledgers. The quorum read/write path only ever
 	// read-locks it, so data-plane traffic does not serialize behind
 	// control-plane updates.
 	mu    sync.RWMutex
@@ -349,7 +334,6 @@ type Node struct {
 	pmap    *placement.Map
 	specs   map[ring.RingID]RingSpec
 	ledgers map[string]*ledgerState // per hosted vnode, keyed ring/part
-	rents   map[string]float64      // board copy (only used on the board node)
 	rng     *rand.Rand
 
 	// qmu guards only the per-vnode query counters, which every quorum
@@ -429,7 +413,6 @@ func NewNode(cfg Config, name string, tr transport.Transport, eng *store.Engine)
 		specs:        specs,
 		ledgers:      make(map[string]*ledgerState),
 		queries:      make(map[string]float64),
-		rents:        make(map[string]float64),
 		rng:          rand.New(rand.NewSource(int64(selfI) + 1)),
 		trace:        NewTraceRing(cfg.Nodes[selfI].Name, cfg.TraceEvents),
 		tel:          telemetry.NewRegistry(),
@@ -659,8 +642,7 @@ func kindPriority(kind string) (pri resilience.Priority, gated bool) {
 	case kindHeartbeat, kindJoin, kindMemberPull, kindMemberDelta,
 		kindMultiGet, kindMultiPut:
 		return resilience.Critical, true
-	case kindLeaves, kindFetchChunk, kindAdopt, kindDelta, kindDeltaPull,
-		kindAnnounce, kindRents:
+	case kindLeaves, kindFetchChunk, kindAdopt, kindDelta, kindDeltaPull:
 		return resilience.Background, true
 	default:
 		return 0, false
@@ -713,7 +695,7 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 		var hr heartbeatResp
 		if m, ok := n.mt.Get(hb.From); ok &&
 			(m.State != membership.Alive || m.Incarnation > hb.Member.Incarnation) {
-			hr.Member = membership.Delta{Info: m.Info, State: m.State, Incarnation: m.Incarnation}
+			hr.Member = m.Delta
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(hr)}, nil
 
@@ -827,26 +809,6 @@ func (n *Node) handle(ctx context.Context, req transport.Envelope) (transport.En
 			resp.Deltas = n.pmap.Deltas(mismatched...)
 		}
 		return transport.Envelope{Kind: "ok", Payload: encode(resp)}, nil
-
-	case kindAnnounce:
-		var a announceReq
-		if err := decode(req.Payload, &a); err != nil {
-			return transport.Envelope{}, err
-		}
-		n.mu.Lock()
-		n.rents[a.Node] = a.Rent
-		n.mu.Unlock()
-		return transport.Envelope{Kind: "ok"}, nil
-
-	case kindRents:
-		n.mu.RLock()
-		out := make([]nodeRent, 0, len(n.rents))
-		for k, v := range n.rents {
-			out = append(out, nodeRent{Node: k, Rent: v})
-		}
-		n.mu.RUnlock()
-		slices.SortFunc(out, func(a, b nodeRent) int { return strings.Compare(a.Node, b.Node) })
-		return transport.Envelope{Kind: "ok", Payload: encode(rentsResp{Rents: out})}, nil
 
 	case kindClientGet:
 		var g clientGetReq

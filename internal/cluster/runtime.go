@@ -9,7 +9,6 @@ import (
 
 	"skute/internal/agent"
 	"skute/internal/economy"
-	"skute/internal/gossip"
 )
 
 // RuntimeConfig configures the autonomous loops a node runs between
@@ -51,7 +50,7 @@ func (rc RuntimeConfig) withDefaults() RuntimeConfig {
 	if rc.Jitter == 0 {
 		rc.Jitter = 0.1
 	} else if rc.Jitter < 0 {
-		rc.Jitter = 0 // explicit opt-out: gossip.Jittered(d, 0, …) = d
+		rc.Jitter = 0 // explicit opt-out: jittered(d, 0, …) = d
 	}
 	if rc.Agent == (agent.Params{}) {
 		rc.Agent = agent.DefaultParams()
@@ -121,9 +120,14 @@ func (n *Node) Start(ctx context.Context, rc RuntimeConfig) error {
 		}
 	})
 	n.startLoop(rctx, rc.Epoch, rc.Jitter, 4, func(cctx context.Context, _ int) {
-		if _, _, err := n.AnnounceRent(cctx, rc.Rent); err != nil {
+		// The rent push waits at most one heartbeat interval, so a slow
+		// or blackholed peer cannot eat the epoch's decisions: a peer the
+		// push misses gets the rent from this node's next beat.
+		actx, cancel := context.WithTimeout(cctx, rc.Heartbeat)
+		_, _, err := n.AnnounceRent(actx, rc.Rent)
+		cancel()
+		if err != nil {
 			rc.Logf("cluster %s: announce rent: %v", n.self.Name, err)
-			return
 		}
 		rep, err := n.RunEconomicEpoch(cctx, rc.Agent, rc.Rent)
 		if err != nil {
@@ -131,8 +135,8 @@ func (n *Node) Start(ctx context.Context, rc RuntimeConfig) error {
 			return
 		}
 		if rep.Repairs+rep.Replications+rep.Migrations+rep.Suicides > 0 {
-			rc.Logf("cluster %s: epoch board=%s rent=%.2f repairs=%d repl=%d migr=%d suicides=%d",
-				n.self.Name, rep.Board, rep.Rent, rep.Repairs, rep.Replications, rep.Migrations, rep.Suicides)
+			rc.Logf("cluster %s: epoch rent=%.2f repairs=%d repl=%d migr=%d suicides=%d",
+				n.self.Name, rep.Rent, rep.Repairs, rep.Replications, rep.Migrations, rep.Suicides)
 		}
 	})
 	return nil
@@ -150,7 +154,7 @@ func (n *Node) startLoop(ctx context.Context, every time.Duration, jitter float6
 	rng := rand.New(rand.NewSource(int64(n.selfI)*31 + seed))
 	go func() {
 		defer n.run.wg.Done()
-		t := time.NewTimer(gossip.Jittered(every, jitter, rng))
+		t := time.NewTimer(jittered(every, jitter, rng))
 		defer t.Stop()
 		for round := 0; ; round++ {
 			select {
@@ -161,9 +165,25 @@ func (n *Node) startLoop(ctx context.Context, every time.Duration, jitter float6
 			cctx, cancel := context.WithTimeout(ctx, every)
 			fn(cctx, round)
 			cancel()
-			t.Reset(gossip.Jittered(every, jitter, rng))
+			t.Reset(jittered(every, jitter, rng))
 		}
 	}()
+}
+
+// jittered spreads a loop interval by a random factor in
+// [1-frac, 1+frac], so that the periodic gossip loops of a cluster
+// booted in lockstep desynchronize instead of thundering together.
+// frac is clamped to [0, 1); a non-positive d or frac returns d
+// unchanged.
+func jittered(d time.Duration, frac float64, rng *rand.Rand) time.Duration {
+	if d <= 0 || frac <= 0 {
+		return d
+	}
+	if frac >= 1 {
+		frac = 0.99
+	}
+	f := 1 + frac*(2*rng.Float64()-1)
+	return time.Duration(float64(d) * f)
 }
 
 // evictDeadPeerConns drops pooled transport connections to peers the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -110,4 +111,29 @@ func TestRuntimeHealsPlacementDivergence(t *testing.T) {
 		e, ok := straggler.PlacementEntry(goldRing, part)
 		return ok && e.Version == want.Version && e.Origin == want.Origin
 	}, "straggler to converge via runtime gossip")
+}
+
+func TestJittered(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := 100 * time.Millisecond
+	for i := 0; i < 200; i++ {
+		d := jittered(base, 0.2, rng)
+		if d < 80*time.Millisecond || d > 120*time.Millisecond {
+			t.Fatalf("jittered escaped the band: %v", d)
+		}
+	}
+	// Degenerate inputs pass through.
+	if d := jittered(0, 0.2, rng); d != 0 {
+		t.Errorf("jittered(0) = %v", d)
+	}
+	if d := jittered(base, 0, rng); d != base {
+		t.Errorf("jittered(frac=0) = %v", d)
+	}
+	// frac >= 1 is clamped so intervals can never reach zero or go
+	// negative.
+	for i := 0; i < 200; i++ {
+		if d := jittered(base, 5, rng); d <= 0 {
+			t.Fatalf("clamped jittered produced %v", d)
+		}
+	}
 }

@@ -114,6 +114,10 @@ type Delta struct {
 	Info        Info
 	State       State
 	Incarnation uint64
+	// Rent is the member's last announced virtual rent (Eq. 1), stamped
+	// by the member itself with RentSeq; RentSeq 0 means no rent yet.
+	Rent    float64
+	RentSeq uint64
 }
 
 // supersedes reports whether the delta wins over the current record.
@@ -124,12 +128,21 @@ func (d Delta) supersedes(state State, inc uint64) bool {
 	return d.State.precedence() > state.precedence()
 }
 
+// newerRent reports whether the delta carries a rent fresher than m's:
+// a higher (Incarnation, RentSeq) pair. A record without a rent never
+// wins, so a suspicion or death record cannot reset a stored rent.
+func (d Delta) newerRent(m *Member) bool {
+	if d.RentSeq == 0 || d.Incarnation < m.Incarnation {
+		return false
+	}
+	return d.Incarnation > m.Incarnation || d.RentSeq > m.RentSeq
+}
+
 // Member is one entry of the table as seen locally: the gossiped record
-// plus this node's direct-contact evidence.
+// plus this node's direct-contact evidence. Every record the table sends
+// out is a member's Delta.
 type Member struct {
-	Info        Info
-	State       State
-	Incarnation uint64
+	Delta
 	// Confirmed reports direct contact: this node has exchanged a
 	// heartbeat (or any RPC) with the member. An unconfirmed Alive
 	// member is in probation and does not serve traffic from here.
@@ -158,6 +171,8 @@ const (
 	Refuted
 	// Rejected: the delta's metadata failed validation.
 	Rejected
+	// RentUpdated: only the delta's rent won; its state lost or repeated.
+	RentUpdated
 )
 
 // String names the outcome.
@@ -173,6 +188,8 @@ func (o Outcome) String() string {
 		return "refuted"
 	case Rejected:
 		return "rejected"
+	case RentUpdated:
+		return "rent-updated"
 	default:
 		return fmt.Sprintf("outcome(%d)", int(o))
 	}
@@ -214,7 +231,7 @@ func New(self Info, suspectAfter, deadAfter time.Duration) *Table {
 		suspectAfter: suspectAfter,
 		deadAfter:    deadAfter,
 	}
-	t.members[self.Name] = &Member{Info: self, State: Alive, Incarnation: 1, Confirmed: true}
+	t.members[self.Name] = &Member{Delta: Delta{Info: self, State: Alive, Incarnation: 1}, Confirmed: true}
 	return t
 }
 
@@ -263,7 +280,7 @@ func (t *Table) SeedPeer(info Info, at time.Time) {
 	if _, ok := t.members[info.Name]; ok {
 		return
 	}
-	t.members[info.Name] = &Member{Info: info, State: Alive, Incarnation: 1, LastHeard: at}
+	t.members[info.Name] = &Member{Delta: Delta{Info: info, State: Alive, Incarnation: 1}, LastHeard: at}
 	t.digestOK = false
 }
 
@@ -298,15 +315,23 @@ func (t *Table) Apply(d Delta, at time.Time) Outcome {
 		return Stale
 	}
 	if !ok {
-		m := &Member{Info: d.Info, State: d.State, Incarnation: d.Incarnation, LastHeard: at}
-		t.members[d.Info.Name] = m
+		t.members[d.Info.Name] = &Member{Delta: d, LastHeard: at}
 		t.digestOK = false
 		return Applied
 	}
-	if d.Incarnation == cur.Incarnation && d.State == cur.State {
-		return Duplicate
+	// The rent merges on its own (Incarnation, RentSeq) order, so a
+	// fresh rent lands even when the record's state loses or repeats.
+	rent := d.newerRent(cur)
+	if rent {
+		cur.Rent, cur.RentSeq = d.Rent, d.RentSeq
 	}
 	if !d.supersedes(cur.State, cur.Incarnation) {
+		switch {
+		case rent:
+			return RentUpdated
+		case d.Incarnation == cur.Incarnation && d.State == cur.State && d.RentSeq == cur.RentSeq:
+			return Duplicate
+		}
 		return Stale
 	}
 	cur.Info = d.Info
@@ -391,7 +416,23 @@ func (t *Table) Leave() Delta {
 	m.Incarnation++
 	m.State = Left
 	t.digestOK = false
-	return Delta{Info: m.Info, State: Left, Incarnation: m.Incarnation}
+	return m.Delta
+}
+
+// StampRent records the owner's freshly computed rent and returns the
+// refreshed self record to gossip. The stamp is above every earlier one
+// and at least the wall clock in Unix nanoseconds, so a process
+// restarted at the same incarnation still outbids the rents it
+// announced before the restart.
+func (t *Table) StampRent(rent float64, now time.Time) Delta {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := t.members[t.self]
+	m.Rent, m.RentSeq = rent, m.RentSeq+1
+	if ns := now.UnixNano(); ns > 0 && uint64(ns) > m.RentSeq {
+		m.RentSeq = uint64(ns)
+	}
+	return m.Delta
 }
 
 // Tick advances the local failure detector: confirmed members silent
@@ -416,13 +457,13 @@ func (t *Table) Tick(now time.Time) (suspects, deads []Delta) {
 			if now.Sub(m.LastHeard) > t.suspectAfter {
 				m.State = Suspect
 				t.digestOK = false
-				suspects = append(suspects, Delta{Info: m.Info, State: Suspect, Incarnation: m.Incarnation})
+				suspects = append(suspects, m.Delta)
 			}
 		case Suspect:
 			if now.Sub(m.LastHeard) > t.suspectAfter+t.deadAfter {
 				m.State = Dead
 				t.digestOK = false
-				deads = append(deads, Delta{Info: m.Info, State: Dead, Incarnation: m.Incarnation})
+				deads = append(deads, m.Delta)
 			}
 		}
 	}
@@ -519,8 +560,7 @@ func (t *Table) Members() []Member {
 func (t *Table) SelfDelta() Delta {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	m := t.members[t.self]
-	return Delta{Info: m.Info, State: m.State, Incarnation: m.Incarnation}
+	return t.members[t.self].Delta
 }
 
 // Deltas exports every record (gossiped fields only), sorted by name —
@@ -530,7 +570,7 @@ func (t *Table) Deltas() []Delta {
 	defer t.mu.RUnlock()
 	out := make([]Delta, 0, len(t.members))
 	for _, m := range t.members {
-		out = append(out, Delta{Info: m.Info, State: m.State, Incarnation: m.Incarnation})
+		out = append(out, m.Delta)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Name < out[j].Info.Name })
 	return out
@@ -539,8 +579,10 @@ func (t *Table) Deltas() []Delta {
 // Digest fingerprints the gossiped state of the table: every (name,
 // state, incarnation, addr) folds into one 64-bit hash in name order.
 // Local-only fields (confirmation, last-heard) are excluded, so two
-// nodes with the same cluster-wide view agree byte-for-byte. The result
-// is cached between mutations.
+// nodes with the same cluster-wide view agree byte-for-byte. Rents are
+// excluded too: every member's own beats carry its rent to each peer,
+// and a rent in the digest would set off member pulls every epoch. The
+// result is cached between mutations.
 func (t *Table) Digest() uint64 {
 	t.mu.RLock()
 	if t.digestOK {

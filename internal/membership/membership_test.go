@@ -297,3 +297,71 @@ func TestManualStopsTheClock(t *testing.T) {
 		t.Fatalf("clocked table did not suspect n1 after 11 s of silence: %v", s)
 	}
 }
+
+// TestRentMerge: a record's rent lands only with a higher (Incarnation,
+// RentSeq) pair, even when its state is a duplicate or loses the state
+// merge, and a record that carries no rent never resets a stored one.
+func TestRentMerge(t *testing.T) {
+	now := time.Unix(1000, 0)
+	owner := New(info("n1"), 10*time.Second, 20*time.Second)
+	tb := New(info("n0"), 10*time.Second, 20*time.Second)
+	tb.SeedPeer(info("n1"), now)
+	rent := func() (float64, uint64) {
+		m, _ := tb.Get("n1")
+		return m.Rent, m.RentSeq
+	}
+
+	first := owner.StampRent(3.5, now)
+	if first.RentSeq != uint64(now.UnixNano()) || first.Rent != 3.5 || first.Incarnation != 1 {
+		t.Fatalf("first stamp = %+v", first)
+	}
+	if got := tb.Apply(first, now); got != RentUpdated {
+		t.Fatalf("fresh rent at a duplicate state: %v, want rent-updated", got)
+	}
+	if r, seq := rent(); r != 3.5 || seq != first.RentSeq {
+		t.Fatalf("stored rent %v@%d", r, seq)
+	}
+	if got := tb.Apply(first, now); got != Duplicate {
+		t.Fatalf("same record again: %v, want duplicate", got)
+	}
+
+	// A clock that does not move, or moves back, still stamps higher.
+	second := owner.StampRent(4, now.Add(-time.Hour))
+	if second.RentSeq != first.RentSeq+1 {
+		t.Fatalf("second stamp %d, want %d", second.RentSeq, first.RentSeq+1)
+	}
+	tb.Apply(second, now)
+	if got := tb.Apply(first, now); got != Stale {
+		t.Fatalf("older rent: %v, want stale", got)
+	}
+	if r, _ := rent(); r != 4 {
+		t.Fatalf("older rent replaced the newer: %v", r)
+	}
+
+	// A suspicion, and a death at a higher incarnation, that carry no
+	// rent keep the stored one.
+	tb.Apply(Delta{Info: info("n1"), State: Suspect, Incarnation: 1}, now)
+	tb.Apply(Delta{Info: info("n1"), State: Dead, Incarnation: 2}, now)
+	if r, seq := rent(); r != 4 || seq != second.RentSeq {
+		t.Fatalf("state records reset the rent to %v@%d", r, seq)
+	}
+
+	// A rent stamped at a higher incarnation wins even at a lower seq.
+	rejoined := Delta{Info: info("n1"), State: Alive, Incarnation: 3, Rent: 2, RentSeq: 1}
+	if got := tb.Apply(rejoined, now); got != Applied {
+		t.Fatalf("rejoined record: %v", got)
+	}
+	if r, seq := rent(); r != 2 || seq != 1 {
+		t.Fatalf("rent after rejoin %v@%d, want 2@1", r, seq)
+	}
+	// Records about the owner never touch its own rent.
+	if got := owner.Apply(Delta{Info: info("n1"), State: Alive, Incarnation: 1, Rent: 99, RentSeq: 1 << 62}, now); got != Stale {
+		t.Fatalf("foreign record about the owner: %v", got)
+	}
+	if d := owner.SelfDelta(); d.Rent != 4 || d.RentSeq != second.RentSeq {
+		t.Fatalf("owner rent %v@%d", d.Rent, d.RentSeq)
+	}
+	if ds := tb.Deltas(); ds[1].Rent != 2 || ds[1].RentSeq != 1 {
+		t.Fatalf("exported record %+v", ds[1])
+	}
+}

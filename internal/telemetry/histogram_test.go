@@ -216,46 +216,3 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Fatalf("final snapshot count %d / bucket sum %d, want %d", s.Count, n, workers*perW)
 	}
 }
-
-func TestWindowDecay(t *testing.T) {
-	now := time.Unix(0, 0)
-	w := NewWindow(2, time.Second)
-	w.now = func() time.Time { return now }
-	w.lastRot = now
-
-	w.Record(int64(time.Hour)) // an ancient outlier
-	if got := w.Snapshot().Max; got != int64(time.Hour) {
-		t.Fatalf("live slot max %d", got)
-	}
-	// One interval later the outlier is retired but still inside the
-	// window...
-	now = now.Add(time.Second)
-	w.Record(int64(time.Millisecond))
-	if s := w.Snapshot(); s.Max != int64(time.Hour) || s.Count != 2 {
-		t.Fatalf("after 1 rotation: max %v count %d", time.Duration(s.Max), s.Count)
-	}
-	// ...and after the window's full span it has aged out.
-	now = now.Add(3 * time.Second)
-	if s := w.Snapshot(); s.Max == int64(time.Hour) {
-		t.Fatalf("outlier survived beyond the window")
-	}
-	// A long idle gap fully drains the window without spinning.
-	now = now.Add(24 * time.Hour)
-	if s := w.Snapshot(); s.Count != 0 {
-		t.Fatalf("idle gap left %d samples", s.Count)
-	}
-}
-
-func TestWindowExplicitRotate(t *testing.T) {
-	w := NewWindow(1, 0) // no clock: callers rotate
-	w.Record(10)
-	w.Rotate()
-	w.Record(20)
-	if s := w.Snapshot(); s.Count != 2 {
-		t.Fatalf("count %d, want 2 (live + one retired slot)", s.Count)
-	}
-	w.Rotate() // 10 falls off (capacity 1 retired slot)
-	if s := w.Snapshot(); s.Count != 1 || s.Max != 20 {
-		t.Fatalf("count %d max %d, want 1/20", s.Count, s.Max)
-	}
-}

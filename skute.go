@@ -759,14 +759,18 @@ func (c *Cluster) ReviveServer(name string) error {
 	c.mu.Unlock()
 	// Refresh liveness both ways: peers mark the revived server alive at
 	// a fresh incarnation (superseding the death record wherever it
-	// gossiped), and the revived server re-confirms every peer still
-	// alive.
+	// gossiped), the revived server adopts that incarnation, as a
+	// heartbeat echo would hand it, so its own records and rents are not
+	// stale on arrival, and it re-confirms every peer still alive.
 	for _, peerName := range c.serverOrder() {
 		peer, ok := c.nodeOf(peerName)
 		if !ok {
 			continue
 		}
 		peer.Membership().Revive(name, peer.Now())
+		if m, ok := peer.Membership().Get(name); ok && peerName != name {
+			revived.Membership().Apply(m.Delta, revived.Now())
+		}
 		if c.alive(peerName) {
 			revived.Membership().Revive(peerName, revived.Now())
 		}

@@ -805,3 +805,34 @@ func TestIdleClusterKeepsQuorum(t *testing.T) {
 		t.Fatalf("MPut after 11 s idle: %v", err)
 	}
 }
+
+// TestRevivedServerRentLands: peers mark a revived server alive at a
+// fresh incarnation, and the revived server adopts that incarnation, so
+// the rent it announces in the next epoch replaces the one it announced
+// before it failed on every peer.
+func TestRevivedServerRentLands(t *testing.T) {
+	c := newTestCluster(t)
+	for cycle := 0; cycle < 2; cycle++ {
+		if _, err := c.RunEpoch(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FailServer("tokyo-1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReviveServer("tokyo-1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunEpoch(ctx); err != nil {
+			t.Fatal(err)
+		}
+		revived, _ := c.nodeOf("tokyo-1")
+		self := revived.Membership().SelfDelta()
+		for _, name := range c.Servers() {
+			peer, _ := c.nodeOf(name)
+			if m, _ := peer.Membership().Get("tokyo-1"); m.Incarnation != self.Incarnation || m.RentSeq != self.RentSeq {
+				t.Errorf("cycle %d: %s holds tokyo-1 at incarnation %d, rent stamp %d; tokyo-1 is at %d, %d",
+					cycle, name, m.Incarnation, m.RentSeq, self.Incarnation, self.RentSeq)
+			}
+		}
+	}
+}
