@@ -116,10 +116,15 @@ type Inputs struct {
 	Threshold float64
 	// Hosts is the partition's current replica set, including this node.
 	Hosts []availability.Host
-	// Candidates are servers able to receive a new replica right now:
-	// alive, not already hosting the partition, with storage room. Rent
-	// and G must be filled by the environment.
+	// Candidates are the epoch's possible targets of a new replica: the
+	// alive servers on the board, in server-ID order. Rent and G must be
+	// filled by the environment.
 	Candidates []availability.Candidate
+	// Admit narrows Candidates to the servers able to receive this
+	// replica right now (not already hosting the partition, with storage
+	// room and transfer budget). The agent calls it only while it places
+	// a replica, never for a Hold; nil admits every candidate.
+	Admit func(ring.ServerID) bool
 	// Queries is the query traffic this replica served during the epoch.
 	Queries float64
 	// StoragePressure is the storage usage fraction of this replica's own
@@ -182,7 +187,7 @@ func (v *VNode) Decide(p Params, in Inputs) Decision {
 	// Step 1 — availability repair has absolute priority and bypasses the
 	// economics.
 	if avail < in.Threshold {
-		if best, ok := availability.Best(in.Hosts, in.Candidates); ok {
+		if best, ok := in.best(); ok {
 			return Decision{Action: Replicate, Target: best.ID}
 		}
 		return Decision{Action: Hold} // starved: no candidate can help this epoch
@@ -193,7 +198,7 @@ func (v *VNode) Decide(p Params, in Inputs) Decision {
 	// node leaves now (to a cheaper server: under Eq. 1 a fuller server
 	// is pricier, so "cheaper" is "emptier" when storage dominates).
 	if p.EvictionPressure > 0 && in.StoragePressure >= p.EvictionPressure {
-		if best, ok := v.migrationTarget(in); ok {
+		if best, ok := v.MigrationTarget(in); ok {
 			return Decision{Action: Migrate, Target: best.ID}
 		}
 	}
@@ -213,7 +218,7 @@ func (v *VNode) Decide(p Params, in Inputs) Decision {
 		if availability.Without(in.Hosts, v.Server) >= in.Threshold {
 			return Decision{Action: Suicide, Balance: balance}
 		}
-		if best, ok := v.migrationTarget(in); ok {
+		if best, ok := v.MigrationTarget(in); ok {
 			return Decision{Action: Migrate, Target: best.ID, Balance: balance}
 		}
 		return Decision{Action: Hold, Balance: balance}
@@ -223,24 +228,38 @@ func (v *VNode) Decide(p Params, in Inputs) Decision {
 	return v.decideProfit(p, in, u, balance)
 }
 
-// migrationTarget applies Eq. 3 over the replica set without this node,
-// restricted to strictly cheaper servers whose location keeps the
-// partition above its threshold — keeping availability is the
+// best is Eq. 3 over the admitted candidates against the current hosts.
+func (in *Inputs) best() (availability.Candidate, bool) {
+	var p availability.Picker
+	for _, c := range in.Candidates {
+		if in.Admit == nil || in.Admit(c.ID) {
+			p.Offer(c, availability.Score(in.Hosts, c))
+		}
+	}
+	return p.Best()
+}
+
+// MigrationTarget applies Eq. 3 over the replica set without this node,
+// restricted to admitted, strictly cheaper servers whose location keeps
+// the partition above its threshold — keeping availability is the
 // non-negotiable first priority of the decision process.
-func (v *VNode) migrationTarget(in Inputs) (availability.Candidate, bool) {
-	others := make([]availability.Host, 0, len(in.Hosts)-1)
+func (v *VNode) MigrationTarget(in Inputs) (availability.Candidate, bool) {
+	others := make([]availability.Host, 0, 8) // stays on the stack
 	for _, h := range in.Hosts {
 		if h.ID != v.Server {
 			others = append(others, h)
 		}
 	}
-	cheaper := make([]availability.Candidate, 0, len(in.Candidates))
+	base := availability.Of(others)
+	var p availability.Picker
 	for _, c := range in.Candidates {
-		if c.Rent < in.Rent && availability.With(others, c.Host) >= in.Threshold {
-			cheaper = append(cheaper, c)
+		if c.Rent < in.Rent && (in.Admit == nil || in.Admit(c.ID)) {
+			if avail, s := availability.WithScore(others, base, c); avail >= in.Threshold {
+				p.Offer(c, s)
+			}
 		}
 	}
-	return availability.Best(others, cheaper)
+	return p.Best()
 }
 
 // decideProfit is step 4 of the decision process; u is the floored
@@ -248,7 +267,7 @@ func (v *VNode) migrationTarget(in Inputs) (availability.Candidate, bool) {
 func (v *VNode) decideProfit(p Params, in Inputs, u, balance float64) Decision {
 	// Step 4 — sustained profit: replicate when popularity pays for it.
 	if v.Ledger.PositiveRun() >= p.F {
-		if best, ok := availability.Best(in.Hosts, in.Candidates); ok {
+		if best, ok := in.best(); ok {
 			if u >= p.ReplicationSurplus*(best.Rent+in.ConsistencyCost) {
 				return Decision{Action: Replicate, Target: best.ID, Balance: balance}
 			}

@@ -107,19 +107,43 @@ func Score(current []Host, c Candidate) float64 {
 // deterministic, reproducible choices. The boolean is false when the
 // candidate list is empty.
 func Best(current []Host, cands []Candidate) (Candidate, bool) {
-	if len(cands) == 0 {
-		return Candidate{}, false
+	var p Picker
+	for _, c := range cands {
+		p.Offer(c, Score(current, c))
 	}
-	best := cands[0]
-	bestScore := Score(current, best)
-	for _, c := range cands[1:] {
-		s := Score(current, c)
-		if s > bestScore ||
-			(s == bestScore && (c.Rent < best.Rent || (c.Rent == best.Rent && c.ID < best.ID))) {
-			best, bestScore = c, s
-		}
+	return p.Best()
+}
+
+// Picker is Best in streaming form: a caller offers candidates with their
+// score one at a time, filtering as it scans instead of building a list.
+type Picker struct {
+	best  Candidate
+	score float64
+	ok    bool
+}
+
+// Offer considers candidate c with Eq. 3 score s under Best's order.
+func (p *Picker) Offer(c Candidate, s float64) {
+	if !p.ok || s > p.score ||
+		(s == p.score && (c.Rent < p.best.Rent || (c.Rent == p.best.Rent && c.ID < p.best.ID))) {
+		p.best, p.score, p.ok = c, s, true
 	}
-	return best, true
+}
+
+// Best returns the winning candidate, or false when none was offered.
+func (p *Picker) Best() (Candidate, bool) { return p.best, p.ok }
+
+// WithScore returns With(hosts, c.Host) and Score(hosts, c), bit for bit,
+// in one pass over the hosts, given base = Of(hosts) computed once.
+func WithScore(hosts []Host, base float64, c Candidate) (avail, score float64) {
+	avail = base
+	var div float64
+	for _, h := range hosts {
+		d := float64(topology.Diversity(h.Loc, c.Loc))
+		avail += h.Conf * c.Conf * d
+		div += d
+	}
+	return avail, c.G*c.Conf*div - c.Rent
 }
 
 // MaxAchievable returns the largest availability k replicas can reach in

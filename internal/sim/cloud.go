@@ -41,6 +41,7 @@ type appState struct {
 	// alive server for this application's clients (1 for the best-placed
 	// server), refreshed at the start of each epoch.
 	gcache map[ring.ServerID]float64
+	cands  []availability.Candidate // the epoch's candidates, see baseCandidates
 }
 
 // Cloud is a running simulation: the cloud of servers, the virtual rings
@@ -60,6 +61,7 @@ type Cloud struct {
 
 	// queueScratch is reused across epochs for the decision queue.
 	queueScratch []decisionRef
+	candScratch  []availability.Candidate // the ablation policies' admitted list
 
 	// Cumulative counters.
 	insertAttempts int64
@@ -224,11 +226,11 @@ func (c *Cloud) refreshG(st *appState) {
 // gOf returns the cached normalized preference of a server.
 func (st *appState) gOf(id ring.ServerID) float64 { return st.gcache[id] }
 
-// baseCandidates lists every alive server with its announced rent and the
-// app's geographic preference, computed once per epoch per app; per-vnode
-// filtering (hosting, storage, bandwidth) happens in candidatesFor.
-func (c *Cloud) baseCandidates(st *appState) []availability.Candidate {
-	cands := make([]availability.Candidate, 0, len(c.servers))
+// baseCandidates lists into st.cands every alive server with its rent and
+// the app's geographic preference, once per epoch; the per-decision
+// admission check (hosting, storage, bandwidth) is runDecisions' Admit.
+func (c *Cloud) baseCandidates(st *appState) {
+	cands := st.cands[:0]
 	for _, s := range c.servers {
 		if !s.Alive() {
 			continue
@@ -243,25 +245,7 @@ func (c *Cloud) baseCandidates(st *appState) []availability.Candidate {
 			G:    st.gOf(s.ID()),
 		})
 	}
-	return cands
-}
-
-// candidatesFor filters the epoch's base candidates down to the servers
-// able to receive a replica of the partition right now: not already
-// hosting it, with storage room and remaining replication bandwidth. The
-// bandwidth filter spreads simultaneous placement decisions over the
-// cloud instead of letting every partition target the one cheapest server.
-// The result is appended into scratch, which is returned re-sliced.
-func (c *Cloud) candidatesFor(base []availability.Candidate, p *ring.Partition, size int64, scratch []availability.Candidate) []availability.Candidate {
-	scratch = scratch[:0]
-	for _, cand := range base {
-		s := c.server(cand.ID)
-		if p.HasReplica(cand.ID) || !s.CanHost(size) || s.ReplBudget() < size {
-			continue
-		}
-		scratch = append(scratch, cand)
-	}
-	return scratch
+	st.cands = cands
 }
 
 // announceRents publishes every alive server's virtual rent for the next

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"skute/internal/agent"
@@ -278,23 +280,21 @@ func (c *Cloud) runDecisions() {
 		}
 	}
 	c.queueScratch = queue
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].app != queue[j].app {
-			return queue[i].app < queue[j].app
+	slices.SortFunc(queue, func(a, b decisionRef) int {
+		if a.app != b.app {
+			return cmp.Compare(a.app, b.app)
 		}
-		if queue[i].key.part != queue[j].key.part {
-			return queue[i].key.part < queue[j].key.part
+		if a.key.part != b.key.part {
+			return cmp.Compare(a.key.part, b.key.part)
 		}
-		return queue[i].key.srv < queue[j].key.srv
+		return cmp.Compare(a.key.srv, b.key.srv)
 	})
 	c.rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 
 	minRent := c.board.MinRent()
-	bases := make([][]availability.Candidate, len(c.apps))
-	for ai, st := range c.apps {
-		bases[ai] = c.baseCandidates(st)
+	for _, st := range c.apps {
+		c.baseCandidates(st)
 	}
-	scratch := make([]availability.Candidate, 0, len(c.servers))
 	hostScratch := make([]availability.Host, 0, 8)
 	for _, ref := range queue {
 		st := c.apps[ref.app]
@@ -310,9 +310,14 @@ func (c *Cloud) runDecisions() {
 		rent, _ := c.board.Rent(v.Server)
 		hostScratch = c.appendHosts(hostScratch[:0], p)
 		in := agent.Inputs{
-			Threshold:       st.threshold,
-			Hosts:           hostScratch,
-			Candidates:      c.candidatesFor(bases[ref.app], p, v.Size, scratch),
+			Threshold:  st.threshold,
+			Hosts:      hostScratch,
+			Candidates: st.cands,
+			// Bandwidth spreads placements instead of herding them onto the cheapest server.
+			Admit: func(id ring.ServerID) bool {
+				s := c.server(id)
+				return s.CanHost(v.Size) && s.ReplBudget() >= v.Size && !p.HasReplica(id)
+			},
 			Queries:         st.vqueries[ref.key],
 			StoragePressure: self.StorageUsage(),
 			G:               st.gOf(v.Server),
@@ -323,9 +328,9 @@ func (c *Cloud) runDecisions() {
 		var d agent.Decision
 		switch c.cfg.Policy {
 		case RandomPlacement:
-			d = c.randomPlacementDecision(st, p, in)
+			d = c.randomPlacementDecision(st, p, c.admitted(in))
 		case CountOnly:
-			d = c.countOnlyDecision(st, p, in)
+			d = c.countOnlyDecision(st, p, c.admitted(in))
 		default:
 			d = v.Decide(c.cfg.Agent, in)
 		}
@@ -333,54 +338,40 @@ func (c *Cloud) runDecisions() {
 	}
 }
 
-// retargetMigration re-applies the agent's migration rule (strictly
-// cheaper, availability preserved) restricted to servers that can still
-// accept the transfer this epoch, reserving the budget on success.
-func (c *Cloud) retargetMigration(v *agent.VNode, in agent.Inputs) (ring.ServerID, bool) {
-	others := make([]availability.Host, 0, len(in.Hosts))
-	for _, h := range in.Hosts {
-		if h.ID != v.Server {
-			others = append(others, h)
-		}
-	}
-	feasible := make([]availability.Candidate, 0, len(in.Candidates))
+// admitted lists the decision's admitted candidates in server-ID order
+// into a scratch slice reused across decisions. Only the ablation
+// policies need the list; the agent reads candidates lazily.
+func (c *Cloud) admitted(in agent.Inputs) []availability.Candidate {
+	out := c.candScratch[:0]
 	for _, cand := range in.Candidates {
-		s := c.server(cand.ID)
-		if cand.Rent < in.Rent && s.CanHost(v.Size) && s.MigrBudget() >= v.Size &&
-			availability.With(others, cand.Host) >= in.Threshold {
-			feasible = append(feasible, cand)
+		if in.Admit(cand.ID) {
+			out = append(out, cand)
 		}
 	}
-	best, ok := availability.Best(others, feasible)
-	if !ok {
-		return 0, false
-	}
-	if !c.server(best.ID).ReserveMigration(v.Size) {
-		return 0, false
-	}
-	return best.ID, true
+	c.candScratch = out
+	return out
 }
 
 // randomPlacementDecision is the ablation baseline that keeps
 // TargetReplicas copies per partition on uniformly random capable servers
 // and never migrates or deletes.
-func (c *Cloud) randomPlacementDecision(st *appState, p *ring.Partition, in agent.Inputs) agent.Decision {
-	if len(p.Replicas) >= st.spec.TargetReplicas || len(in.Candidates) == 0 {
+func (c *Cloud) randomPlacementDecision(st *appState, p *ring.Partition, cands []availability.Candidate) agent.Decision {
+	if len(p.Replicas) >= st.spec.TargetReplicas || len(cands) == 0 {
 		return agent.Decision{Action: agent.Hold}
 	}
-	pick := in.Candidates[c.rng.Intn(len(in.Candidates))]
+	pick := cands[c.rng.Intn(len(cands))]
 	return agent.Decision{Action: agent.Replicate, Target: pick.ID}
 }
 
 // countOnlyDecision is the ablation baseline that keeps TargetReplicas
 // copies per partition on the cheapest capable servers, ignoring
 // geographic diversity entirely.
-func (c *Cloud) countOnlyDecision(st *appState, p *ring.Partition, in agent.Inputs) agent.Decision {
-	if len(p.Replicas) >= st.spec.TargetReplicas || len(in.Candidates) == 0 {
+func (c *Cloud) countOnlyDecision(st *appState, p *ring.Partition, cands []availability.Candidate) agent.Decision {
+	if len(p.Replicas) >= st.spec.TargetReplicas || len(cands) == 0 {
 		return agent.Decision{Action: agent.Hold}
 	}
-	best := in.Candidates[0]
-	for _, cand := range in.Candidates[1:] {
+	best := cands[0]
+	for _, cand := range cands[1:] {
 		if cand.Rent < best.Rent || (cand.Rent == best.Rent && cand.ID < best.ID) {
 			best = cand
 		}
@@ -391,11 +382,11 @@ func (c *Cloud) countOnlyDecision(st *appState, p *ring.Partition, in agent.Inpu
 // execute applies one decision, enforcing the per-epoch bandwidth budgets
 // and storage capacities; decisions that do not fit are dropped (the agent
 // retries next epoch). A migration whose target has exhausted its
-// migration budget is retargeted to the best remaining feasible candidate
-// (Eq. 3 over budget-holding servers): with ticked prices many candidates
-// score identically, and without retargeting every evicting node of a
-// filling server herds onto one destination that can absorb only a single
-// transfer per epoch.
+// migration budget is retargeted by the agent's own migration rule, with
+// admission narrowed to servers that still hold migration budget: with
+// ticked prices many candidates score identically, and without
+// retargeting every evicting node of a filling server herds onto one
+// destination that can absorb only a single transfer per epoch.
 func (c *Cloud) execute(st *appState, p *ring.Partition, v *agent.VNode, d agent.Decision, in agent.Inputs) {
 	switch d.Action {
 	case agent.Replicate:
@@ -416,12 +407,13 @@ func (c *Cloud) execute(st *appState, p *ring.Partition, v *agent.VNode, d agent
 	case agent.Migrate:
 		t := c.server(d.Target)
 		if !t.CanHost(v.Size) || !t.ReserveMigration(v.Size) {
-			target, ok := c.retargetMigration(v, in)
-			if !ok {
+			admit := in.Admit
+			in.Admit = func(id ring.ServerID) bool { return admit(id) && c.server(id).MigrBudget() >= v.Size }
+			best, ok := v.MigrationTarget(in)
+			if !ok || !c.server(best.ID).ReserveMigration(v.Size) {
 				return
 			}
-			d.Target = target
-			t = c.server(d.Target)
+			d.Target, t = best.ID, c.server(best.ID)
 		}
 		if err := t.Store(v.Size); err != nil {
 			return

@@ -392,11 +392,22 @@ func TestEventEpochIsExact(t *testing.T) {
 }
 
 func BenchmarkEpochSmall(b *testing.B) {
-	c, err := New(smallConfig())
+	benchmarkEpoch(b, smallConfig(), 40)
+}
+
+// BenchmarkEpochPaper times one epoch of the Section III-A cloud (200
+// servers, three applications) after the startup replication settled.
+func BenchmarkEpochPaper(b *testing.B) {
+	benchmarkEpoch(b, PaperConfig(), 30)
+}
+
+func benchmarkEpoch(b *testing.B, cfg Config, settle int) {
+	c, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Run(40, nil) // settle first
+	c.Run(settle, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step()
