@@ -3,7 +3,7 @@
 // detection and economy-driven replica management. Peer and client
 // traffic rides persistent, pooled, multiplexed connections (see
 // DESIGN.md, "The wire"); the transport's pool counters appear on the
-// admin endpoint's GET /counters, and shutdown closes pooled and
+// admin endpoint's GET /metrics, and shutdown closes pooled and
 // established sockets, not just the listeners. State is durable and
 // recovery is bounded: the node recovers from its newest snapshot plus
 // the write-ahead-log tail on restart, checkpoints itself periodically
@@ -35,9 +35,14 @@
 //
 // The seed answers with the member list, ring layout and placement map;
 // the joiner starts empty and receives partitions via throttled chunked
-// transfer as the economy places replicas on it. -transfer-chunk and
-// -transfer-rate bound the node's donor side of those transfers in both
-// boot modes.
+// transfer as the economy places replicas on it. The tuning flags
+// (-transfer-chunk, -transfer-rate, -read-cache, -max-inflight, the
+// breaker and trace knobs) apply to the node the same way in both boot
+// modes.
+//
+// With -admin, the node serves /healthz, /stats, /trace and /metrics;
+// /metrics carries every instrument of the process — latency
+// histograms and counters alike (see internal/httpadmin).
 package main
 
 import (
@@ -46,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,8 +61,8 @@ import (
 	"skute/internal/cluster"
 	"skute/internal/economy"
 	"skute/internal/httpadmin"
-	"skute/internal/metrics"
 	"skute/internal/store"
+	"skute/internal/telemetry"
 	"skute/internal/transport"
 	"skute/internal/wal"
 )
@@ -73,7 +79,7 @@ func main() {
 		epoch      = flag.Duration("epoch", 30*time.Second, "economic epoch length (0 disables the economy)")
 		antiEnt    = flag.Duration("anti-entropy", time.Minute, "anti-entropy round interval (0 disables)")
 		jitter     = flag.Float64("jitter", 0.1, "loop interval jitter fraction in [0,1); negative disables jitter")
-		admin      = flag.String("admin", "", "admin HTTP address for /healthz, /stats and /counters (empty disables)")
+		admin      = flag.String("admin", "", "admin HTTP address for /healthz, /stats, /trace and /metrics (empty disables)")
 
 		joinAddr  = flag.String("join", "", "join a running cluster through this seed node address (descriptor-free boot)")
 		listen    = flag.String("listen", "", "this node's own address when joining (required with -join)")
@@ -128,79 +134,74 @@ func main() {
 		defer eng.Close()
 	}
 
-	tr := transport.NewTCP()
-	defer tr.Close()
-	var node *cluster.Node
+	// One Config for both boot modes: the descriptor, or the joiner's own
+	// entry (the seed supplies the rings, quorums and timeouts).
+	var cfg cluster.Config
 	if *joinAddr != "" {
-		self := cluster.NodeInfo{
-			Name: *name, Addr: *listen, Bind: *bindAddr, LocPath: *locPath,
+		cfg.Nodes = []cluster.NodeInfo{{
+			Name: *name, Addr: *listen, LocPath: *locPath,
 			Confidence: *conf, MonthlyRent: *rent,
 			Capacity: *capacity, QueryCapacity: *queryCap,
-		}
-		node, err = cluster.JoinNode(context.Background(), self, *joinAddr, cluster.JoinOptions{
-			TransferChunkItems:  *xferChunk,
-			TransferBytesPerSec: *xferRate,
-			TraceEvents:         *traceEvents,
-			ReadCacheEntries:    *rcEntries,
-			ReadCacheTTL:        *rcTTL,
-			MaxInflight:         *maxInflight,
-			DisableAdmission:    !*shed,
-			BreakerFailures:     *brkFailures,
-			BreakerOpenFor:      *brkOpenFor,
-			BreakerSlowAfter:    *brkSlowAfter,
-		}, tr, eng)
-		if err != nil {
-			log.Fatalf("skuted: join via %s: %v", *joinAddr, err)
-		}
-		log.Printf("skuted: node %s joined cluster via %s", *name, *joinAddr)
+		}}
 	} else {
 		raw, rerr := os.ReadFile(*configPath)
 		if rerr != nil {
 			log.Fatalf("skuted: %v", rerr)
 		}
-		var cfg cluster.Config
 		if err := json.Unmarshal(raw, &cfg); err != nil {
 			log.Fatalf("skuted: parse %s: %v", *configPath, err)
 		}
-		if *xferChunk > 0 {
-			cfg.TransferChunkItems = *xferChunk
-		}
-		if *xferRate > 0 {
-			cfg.TransferBytesPerSec = *xferRate
-		}
-		if *traceEvents > 0 {
-			cfg.TraceEvents = *traceEvents
-		}
-		if *rcEntries > 0 {
-			cfg.ReadCacheEntries = *rcEntries
-		}
-		if *rcTTL > 0 {
-			cfg.ReadCacheTTL = *rcTTL
-		}
-		if *maxInflight > 0 {
-			cfg.MaxInflight = *maxInflight
-		}
-		if !*shed {
-			cfg.DisableAdmission = true
-		}
-		if *brkFailures > 0 {
-			cfg.BreakerFailures = *brkFailures
-		}
-		if *brkOpenFor > 0 {
-			cfg.BreakerOpenFor = *brkOpenFor
-		}
-		if *brkSlowAfter > 0 {
-			cfg.BreakerSlowAfter = *brkSlowAfter
-		}
-		if *bindAddr != "" {
-			// Bind is node-local: it only makes sense on this node's own
-			// descriptor entry, never on peers'.
-			for i := range cfg.Nodes {
-				if cfg.Nodes[i].Name == *name {
-					cfg.Nodes[i].Bind = *bindAddr
-				}
+	}
+	if *xferChunk > 0 {
+		cfg.TransferChunkItems = *xferChunk
+	}
+	if *xferRate > 0 {
+		cfg.TransferBytesPerSec = *xferRate
+	}
+	if *traceEvents > 0 {
+		cfg.TraceEvents = *traceEvents
+	}
+	if *rcEntries > 0 {
+		cfg.ReadCacheEntries = *rcEntries
+	}
+	if *rcTTL > 0 {
+		cfg.ReadCacheTTL = *rcTTL
+	}
+	if *maxInflight > 0 {
+		cfg.MaxInflight = *maxInflight
+	}
+	if !*shed {
+		cfg.DisableAdmission = true
+	}
+	if *brkFailures > 0 {
+		cfg.BreakerFailures = *brkFailures
+	}
+	if *brkOpenFor > 0 {
+		cfg.BreakerOpenFor = *brkOpenFor
+	}
+	if *brkSlowAfter > 0 {
+		cfg.BreakerSlowAfter = *brkSlowAfter
+	}
+	if *bindAddr != "" {
+		// Bind is node-local: it only makes sense on this node's own
+		// entry, never on peers'.
+		for i := range cfg.Nodes {
+			if cfg.Nodes[i].Name == *name {
+				cfg.Nodes[i].Bind = *bindAddr
 			}
 		}
+	}
+
+	tr := transport.NewTCP()
+	defer tr.Close()
+	var node *cluster.Node
+	if *joinAddr != "" {
+		node, err = cluster.JoinNode(context.Background(), cfg, *joinAddr, tr, eng)
+		if err != nil {
+			log.Fatalf("skuted: join via %s: %v", *joinAddr, err)
+		}
+		log.Printf("skuted: node %s joined cluster via %s", *name, *joinAddr)
+	} else {
 		node, err = cluster.NewNode(cfg, *name, tr, eng)
 		if err != nil {
 			log.Fatalf("skuted: %v", err)
@@ -215,7 +216,7 @@ func main() {
 
 	// checkpoint runs one checkpoint and keeps the counters honest; it is
 	// called from the ticker and from the SIGTERM path.
-	ckptErrors := new(metrics.Counter)
+	ckptErrors := new(telemetry.Counter)
 	checkpoint := func(reason string) {
 		if *snapDir == "" {
 			return
@@ -233,40 +234,8 @@ func main() {
 	}
 
 	if *admin != "" {
-		reg := metrics.NewRegistry()
-		node.RegisterMetrics(reg)
-		// Wire-path counters: pool dials/reuses/evictions, in-flight
-		// frames and pooled connection count.
-		tr.RegisterMetrics(reg)
-		durGauge := func(pick func(store.DurabilityStats) int64) func() int64 {
-			return func() int64 { return pick(eng.Durability()) }
-		}
-		reg.Gauge("wal_records_total", durGauge(func(d store.DurabilityStats) int64 { return d.WALRecords }))
-		reg.Gauge("wal_syncs_total", durGauge(func(d store.DurabilityStats) int64 { return d.WALSyncs }))
-		reg.Gauge("wal_segments", durGauge(func(d store.DurabilityStats) int64 { return int64(d.WALSegments) }))
-		reg.Gauge("checkpoints_total", durGauge(func(d store.DurabilityStats) int64 { return d.Checkpoints }))
-		reg.Gauge("checkpoint_last_seq", durGauge(func(d store.DurabilityStats) int64 { return int64(d.LastCheckpointSeq) }))
-		reg.Gauge("checkpoint_last_bytes", durGauge(func(d store.DurabilityStats) int64 { return d.LastCheckpointBytes }))
-		reg.Gauge("wal_segments_reclaimed_total", durGauge(func(d store.DurabilityStats) int64 { return d.SegmentsReclaimed }))
-		reg.Gauge("recovery_snapshot_seq", durGauge(func(d store.DurabilityStats) int64 { return int64(d.SnapshotSeq) }))
-		reg.Gauge("recovery_tail_records", durGauge(func(d store.DurabilityStats) int64 { return d.TailRecords }))
-		reg.Gauge("recovery_tail_bytes", durGauge(func(d store.DurabilityStats) int64 { return d.TailBytes }))
-		reg.Gauge("checkpoint_errors_total", ckptErrors.Value)
-		reg.Gauge("store_bytes", eng.Bytes)
-		reg.Gauge("store_keys", func() int64 { return int64(eng.Len()) })
-
-		// Latency histograms on GET /metrics: the node's coordinator
-		// per-op registry, plus the transport RTT and WAL fsync
-		// histograms their owners already record into.
-		tel := node.Telemetry()
-		tr.RegisterTelemetry(tel)
-		if fsync := eng.FsyncLatency(); fsync != nil {
-			tel.Register("wal_fsync_ns", fsync)
-		}
-
 		adminErrs := make(chan error, 1)
-		srv := httpadmin.Serve(*admin, httpadmin.StatsFunc(func() any { return node.Stats() }), reg,
-			httpadmin.TraceFunc(func() any { return node.Trace().Events() }), tel, adminErrs)
+		srv := httpadmin.Serve(*admin, adminHandler(node, tr, eng, ckptErrors), adminErrs)
 		defer srv.Close()
 		go func() {
 			if err := <-adminErrs; err != nil {
@@ -318,4 +287,33 @@ func main() {
 			return
 		}
 	}
+}
+
+// adminHandler registers the transport's and the store's instruments on
+// the node's registry — wire counters and RTT, durability gauges, WAL
+// fsync latency — next to the node's own, and returns the admin mux
+// that serves them all on GET /metrics.
+func adminHandler(node *cluster.Node, tr *transport.TCP, eng *store.Engine, ckptErrors *telemetry.Counter) http.Handler {
+	reg := node.Telemetry()
+	tr.Register(reg)
+	durGauge := func(pick func(store.DurabilityStats) int64) func() int64 {
+		return func() int64 { return pick(eng.Durability()) }
+	}
+	reg.Gauge("wal_records_total", durGauge(func(d store.DurabilityStats) int64 { return d.WALRecords }))
+	reg.Gauge("wal_syncs_total", durGauge(func(d store.DurabilityStats) int64 { return d.WALSyncs }))
+	reg.Gauge("wal_segments", durGauge(func(d store.DurabilityStats) int64 { return int64(d.WALSegments) }))
+	reg.Gauge("checkpoints_total", durGauge(func(d store.DurabilityStats) int64 { return d.Checkpoints }))
+	reg.Gauge("checkpoint_last_seq", durGauge(func(d store.DurabilityStats) int64 { return int64(d.LastCheckpointSeq) }))
+	reg.Gauge("checkpoint_last_bytes", durGauge(func(d store.DurabilityStats) int64 { return d.LastCheckpointBytes }))
+	reg.Gauge("wal_segments_reclaimed_total", durGauge(func(d store.DurabilityStats) int64 { return d.SegmentsReclaimed }))
+	reg.Gauge("recovery_snapshot_seq", durGauge(func(d store.DurabilityStats) int64 { return int64(d.SnapshotSeq) }))
+	reg.Gauge("recovery_tail_records", durGauge(func(d store.DurabilityStats) int64 { return d.TailRecords }))
+	reg.Gauge("recovery_tail_bytes", durGauge(func(d store.DurabilityStats) int64 { return d.TailBytes }))
+	reg.Gauge("checkpoint_errors_total", ckptErrors.Value)
+	reg.Gauge("store_bytes", eng.Bytes)
+	reg.Gauge("store_keys", func() int64 { return int64(eng.Len()) })
+	if fsync := eng.FsyncLatency(); fsync != nil {
+		reg.Register("wal_fsync_ns", fsync)
+	}
+	return httpadmin.Handler(func() any { return node.Stats() }, func() any { return node.Trace().Events() }, reg)
 }

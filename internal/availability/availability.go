@@ -147,25 +147,11 @@ func WithScore(hosts []Host, base float64, c Candidate) (avail, score float64) {
 }
 
 // MaxAchievable returns the largest availability k replicas can reach in
-// any topology: all pairs across continents at full confidence. It bounds
-// sanity checks in tests and guards against unreachable thresholds.
+// any topology: all pairs across continents at full confidence — the
+// bound the threshold tests check ThresholdForReplicas against.
 func MaxAchievable(k int) float64 {
 	if k < 2 {
 		return 0
 	}
 	return float64(k*(k-1)) / 2 * float64(topology.MaxDiversity)
-}
-
-// ReplicasForThreshold returns the minimum number of perfectly spread
-// replicas needed to satisfy the threshold — the inverse of
-// ThresholdForReplicas, useful for SLA introspection.
-func ReplicasForThreshold(th float64) int {
-	if th <= 0 {
-		return 1
-	}
-	k := 2
-	for MaxAchievable(k) < th && k < 1<<20 {
-		k++
-	}
-	return k
 }

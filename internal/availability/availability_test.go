@@ -145,17 +145,6 @@ func TestThresholds(t *testing.T) {
 	}
 }
 
-func TestReplicasForThreshold(t *testing.T) {
-	for k := 2; k <= 8; k++ {
-		if got := ReplicasForThreshold(ThresholdForReplicas(k)); got != k {
-			t.Errorf("ReplicasForThreshold(th(%d)) = %d", k, got)
-		}
-	}
-	if ReplicasForThreshold(0) != 1 {
-		t.Error("zero threshold needs 1 replica")
-	}
-}
-
 func TestScoreEquationThree(t *testing.T) {
 	current := []Host{
 		host(1, 1, "eu", "a", "dc0", "r0", "k0", "s0"),

@@ -178,11 +178,18 @@ func (c Config) Validate() error {
 	if c.ReadQuorum < 0 || c.WriteQuorum < 0 {
 		return fmt.Errorf("cluster: negative quorum")
 	}
-	if c.EpochWorkers < 0 {
-		return fmt.Errorf("cluster: negative epoch workers")
-	}
 	if c.SuspectAfter < 0 || c.DeadAfter < 0 {
 		return fmt.Errorf("cluster: negative failure-detector timeout")
+	}
+	return c.validateLocal()
+}
+
+// validateLocal rejects out-of-range node-local tuning: the knobs each
+// node sets for itself, which a joiner brings along rather than taking
+// from its seed.
+func (c Config) validateLocal() error {
+	if c.EpochWorkers < 0 {
+		return fmt.Errorf("cluster: negative epoch workers")
 	}
 	if c.TransferChunkItems < 0 || c.TransferBytesPerSec < 0 {
 		return fmt.Errorf("cluster: negative transfer tuning")

@@ -1,77 +1,80 @@
 package cluster
 
 import (
-	"skute/internal/metrics"
 	"skute/internal/resilience"
+	"skute/internal/telemetry"
 )
 
 // ControlCounters are a node's control-plane observability counters:
 // what the economic epochs decided, how placement deltas fared under
 // the last-writer-wins merge, and how often gossip reconciliation ran.
-// cmd/skuted exposes them on GET /counters via RegisterMetrics.
+// The constructor registers them on the node's registry, which
+// cmd/skuted serves on GET /metrics.
 type ControlCounters struct {
 	// Epoch decision outcomes executed by this node as coordinator.
-	EpochReplications metrics.Counter
-	EpochMigrations   metrics.Counter
-	EpochSuicides     metrics.Counter
-	EpochRepairs      metrics.Counter // availability-driven replications
+	EpochReplications telemetry.Counter
+	EpochMigrations   telemetry.Counter
+	EpochSuicides     telemetry.Counter
+	EpochRepairs      telemetry.Counter // availability-driven replications
 
 	// Placement delta merge outcomes on this node.
-	DeltasApplied metrics.Counter
-	DeltasStale   metrics.Counter // rejected: late, reordered or replayed
+	DeltasApplied telemetry.Counter
+	DeltasStale   telemetry.Counter // rejected: late, reordered or replayed
 
 	// Gossip rounds.
-	ReconcileRounds metrics.Counter // digest-triggered delta pulls
-	HeartbeatRounds metrics.Counter
+	ReconcileRounds telemetry.Counter // digest-triggered delta pulls
+	HeartbeatRounds telemetry.Counter
 
 	// Anti-entropy outcome (data plane, driven by the runtime loop).
-	AntiEntropyKeys     metrics.Counter // keys repaired by Merkle sync
-	AntiEntropyRounds   metrics.Counter // rounds run
-	AntiEntropyRootHits metrics.Counter // partition syncs short-circuited on root equality
+	AntiEntropyKeys     telemetry.Counter // keys repaired by Merkle sync
+	AntiEntropyRounds   telemetry.Counter // rounds run
+	AntiEntropyRootHits telemetry.Counter // partition syncs short-circuited on root equality
 
 	// Membership: member-record merge outcomes, detector transitions and
 	// the evictions they drive.
-	MemberDeltasApplied metrics.Counter
-	MemberDeltasStale   metrics.Counter
-	MemberRefutations   metrics.Counter // accusations of this node it refuted
-	MembersSuspected    metrics.Counter // local alive→suspect transitions
-	MembersDead         metrics.Counter // local suspect→dead transitions
-	MemberEvictions     metrics.Counter // dead members removed from hosted replica sets
-	MemberPulls         metrics.Counter // digest-triggered member list pulls
-	JoinsServed         metrics.Counter // join requests this node admitted
+	MemberDeltasApplied telemetry.Counter
+	MemberDeltasStale   telemetry.Counter
+	MemberRefutations   telemetry.Counter // accusations of this node it refuted
+	MembersSuspected    telemetry.Counter // local alive→suspect transitions
+	MembersDead         telemetry.Counter // local suspect→dead transitions
+	MemberEvictions     telemetry.Counter // dead members removed from hosted replica sets
+	MemberPulls         telemetry.Counter // digest-triggered member list pulls
+	JoinsServed         telemetry.Counter // join requests this node admitted
 
 	// Tiered read path (see readpath.go): how One-level reads were
 	// served and how often quorum reads needed the hedged backup.
-	ReadsLocal        metrics.Counter // lease-served from the local store
-	ReadsCacheHit     metrics.Counter // served from the coordinator cache
-	ReadsCacheMiss    metrics.Counter // eligible for the cache but fell through to fan-out
-	ReadsLeaseStale   metrics.Counter // lease not fresh; One-read fell back to fan-out
-	ReadsHedged       metrics.Counter // quorum reads that fired the backup request
-	ReadRepairSampled metrics.Counter // async repair reads sampled off local reads
+	ReadsLocal        telemetry.Counter // lease-served from the local store
+	ReadsCacheHit     telemetry.Counter // served from the coordinator cache
+	ReadsCacheMiss    telemetry.Counter // eligible for the cache but fell through to fan-out
+	ReadsLeaseStale   telemetry.Counter // lease not fresh; One-read fell back to fan-out
+	ReadsHedged       telemetry.Counter // quorum reads that fired the backup request
+	ReadRepairSampled telemetry.Counter // async repair reads sampled off local reads
 
 	// Partition transfer (chunked, throttled; see transfer.go).
-	TransferChunks       metrics.Counter // chunks pulled (adopter side)
-	TransferItems        metrics.Counter // keys pulled (adopter side)
-	TransferResumes      metrics.Counter // pulls resumed from a saved cursor
-	TransferChunksServed metrics.Counter // chunks served (donor side)
-	TransferBytesOut     metrics.Counter // value bytes served (donor side)
+	TransferChunks       telemetry.Counter // chunks pulled (adopter side)
+	TransferItems        telemetry.Counter // keys pulled (adopter side)
+	TransferResumes      telemetry.Counter // pulls resumed from a saved cursor
+	TransferChunksServed telemetry.Counter // chunks served (donor side)
+	TransferBytesOut     telemetry.Counter // value bytes served (donor side)
 
 	// Overload robustness (see internal/resilience): per-peer breaker
 	// lifecycle events on this node's outbound paths.
-	BreakerTransitions metrics.Counter // every breaker state change
-	BreakerOpens       metrics.Counter // transitions into open (peer cut off)
+	BreakerTransitions telemetry.Counter // every breaker state change
+	BreakerOpens       telemetry.Counter // transitions into open (peer cut off)
 }
 
 // Counters exposes the node's control-plane counters.
 func (n *Node) Counters() *ControlCounters { return &n.counters }
 
-// RegisterMetrics registers every control-plane counter on the registry
-// under stable names, next to the durability gauges cmd/skuted already
-// exports.
-func (n *Node) RegisterMetrics(reg *metrics.Registry) {
+// registerCounters registers every control-plane counter and the
+// admission gauges on the node's own registry under stable names, next
+// to the histograms the coordinator, the read path and the gate record
+// there.
+func (n *Node) registerCounters() {
+	reg := n.tel
 	for _, g := range []struct {
 		name string
-		c    *metrics.Counter
+		c    *telemetry.Counter
 	}{
 		{"epoch_replications_total", &n.counters.EpochReplications},
 		{"epoch_migrations_total", &n.counters.EpochMigrations},

@@ -3,16 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"skute/internal/membership"
-	"skute/internal/merkle"
 	"skute/internal/parallel"
 	"skute/internal/placement"
 	"skute/internal/ring"
 	"skute/internal/store"
-	"skute/internal/telemetry"
 	"skute/internal/transport"
 )
 
@@ -224,43 +220,25 @@ func (n *Node) handleJoin(ctx context.Context, req joinReq) (transport.Envelope,
 	})}, nil
 }
 
-// JoinOptions tune a joining node; zero values select the defaults.
-type JoinOptions struct {
-	// EpochWorkers bounds the economic-epoch worker pool (see
-	// Config.EpochWorkers).
-	EpochWorkers int
-	// TransferChunkItems / TransferBytesPerSec tune this node's donor
-	// side of partition transfer (see the Config fields).
-	TransferChunkItems  int
-	TransferBytesPerSec int64
-	// TraceEvents bounds the decision-trace ring (see Config.TraceEvents).
-	TraceEvents int
-	// ReadCacheEntries / ReadCacheTTL tune the coordinator hot-key read
-	// cache (see the Config fields).
-	ReadCacheEntries int
-	ReadCacheTTL     time.Duration
-	// MaxInflight / DisableAdmission tune the joiner's admission gate,
-	// and BreakerFailures / BreakerOpenFor / BreakerSlowAfter its
-	// per-peer circuit breakers (see the Config fields). These are
-	// node-local robustness knobs, so the seed does not dictate them.
-	MaxInflight      int
-	DisableAdmission bool
-	BreakerFailures  int
-	BreakerOpenFor   time.Duration
-	BreakerSlowAfter time.Duration
-}
-
 // JoinNode boots a node into an existing cluster through any live seed:
-// no shared descriptor file, just the node's own metadata and one
-// address. The seed answers with the member list, ring specs, cluster
-// parameters and placement map; the joiner starts with EMPTY replica
-// sets and materializes the real ones from the placement deltas, so it
-// holds exactly the cluster's converged view. It owns no partitions
-// until the economy places some on it — at which point the data arrives
-// via throttled chunked transfer (handleAdopt).
-func JoinNode(ctx context.Context, self NodeInfo, seedAddr string, opts JoinOptions, tr transport.Transport, eng *store.Engine) (*Node, error) {
-	mi := memberInfoOf(self)
+// no shared descriptor file, just a Config whose Nodes holds the node's
+// own entry, its node-local tuning, and one address. The seed answers
+// with the member list, ring specs, cluster parameters (quorums and
+// failure-detector timeouts, which override cfg's) and placement map;
+// the joiner starts with EMPTY replica sets and materializes the real
+// ones from the placement deltas, so it holds exactly the cluster's
+// converged view. It owns no partitions until the economy places some
+// on it — at which point the data arrives via throttled chunked
+// transfer (handleAdopt).
+func JoinNode(ctx context.Context, cfg Config, seedAddr string, tr transport.Transport, eng *store.Engine) (*Node, error) {
+	if len(cfg.Nodes) != 1 {
+		return nil, fmt.Errorf("cluster: a joiner's config lists its own node only, not %d", len(cfg.Nodes))
+	}
+	mi := memberInfoOf(cfg.Nodes[0])
 	if err := mi.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validateLocal(); err != nil {
 		return nil, err
 	}
 	resp, err := tr.Call(ctx, seedAddr, transport.Envelope{
@@ -277,14 +255,6 @@ func JoinNode(ctx context.Context, self NodeInfo, seedAddr string, opts JoinOpti
 	if len(jr.Rings) == 0 {
 		return nil, fmt.Errorf("cluster: join via %s: seed returned no rings", seedAddr)
 	}
-	suspect := jr.SuspectAfter
-	if suspect <= 0 {
-		suspect = 10 * time.Second
-	}
-	dead := jr.DeadAfter
-	if dead <= 0 {
-		dead = 3 * suspect
-	}
 
 	// The ring layout starts EMPTY: partitions exist (the specs fix the
 	// token space) but no replicas — the placement deltas below, not a
@@ -297,62 +267,10 @@ func JoinNode(ctx context.Context, self NodeInfo, seedAddr string, opts JoinOpti
 		}
 		specs[spec.ID()] = spec
 	}
-
-	cfg := Config{
-		Nodes:               []NodeInfo{self},
-		Rings:               jr.Rings,
-		ReadQuorum:          jr.ReadQuorum,
-		WriteQuorum:         jr.WriteQuorum,
-		SuspectAfter:        suspect,
-		DeadAfter:           dead,
-		EpochWorkers:        opts.EpochWorkers,
-		TransferChunkItems:  opts.TransferChunkItems,
-		TransferBytesPerSec: opts.TransferBytesPerSec,
-		TraceEvents:         opts.TraceEvents,
-		ReadCacheEntries:    opts.ReadCacheEntries,
-		ReadCacheTTL:        opts.ReadCacheTTL,
-		MaxInflight:         opts.MaxInflight,
-		DisableAdmission:    opts.DisableAdmission,
-		BreakerFailures:     opts.BreakerFailures,
-		BreakerOpenFor:      opts.BreakerOpenFor,
-		BreakerSlowAfter:    opts.BreakerSlowAfter,
-	}
-	n := &Node{
-		cfg:          cfg,
-		self:         self,
-		selfI:        0,
-		tr:           tr,
-		eng:          eng,
-		mt:           membership.New(mi, suspect, dead),
-		suspectAfter: suspect,
-		deadAfter:    dead,
-		Now:          time.Now,
-		epochWorkers: opts.EpochWorkers,
-		ids:          make(map[string]ring.ServerID),
-		trees:        make(map[placement.Key]*merkle.Incremental),
-		throttle:     newRateLimiter(opts.TransferBytesPerSec),
-		chunkItems:   opts.TransferChunkItems,
-		trace:        NewTraceRing(self.Name, opts.TraceEvents),
-		resume:       make(map[string]string),
-		rings:        mr,
-		pmap:         placement.NewMap(),
-		specs:        specs,
-		ledgers:      make(map[string]*ledgerState),
-		queries:      make(map[string]float64),
-		rng:          rand.New(rand.NewSource(int64(len(jr.Members)) + 1)),
-		tel:          telemetry.NewRegistry(),
-	}
-	n.opTel = &opHists{reg: n.tel}
-	if n.chunkItems <= 0 {
-		n.chunkItems = defaultChunkItems
-	}
-	n.initResilience(cfg)
-	n.rcache = newReadCache(opts.ReadCacheEntries, opts.ReadCacheTTL)
-	n.hedge = newHedgeTracker(n.tel.Histogram("cluster_read_rtt_ns"))
-	// The answered join RPC below is contact evidence; seed the lease
-	// from the boot instant like NewNode does.
-	n.lastContact.Store(n.Now().UnixNano())
-	n.registerName(self.Name) // ServerID 0 == selfI
+	cfg.Rings = jr.Rings
+	cfg.ReadQuorum, cfg.WriteQuorum = jr.ReadQuorum, jr.WriteQuorum
+	cfg.SuspectAfter, cfg.DeadAfter = jr.SuspectAfter, jr.DeadAfter
+	n := newNode(cfg, 0, mr, specs, placement.NewMap(), int64(len(jr.Members))+1, tr, eng)
 	// The seed's member list includes this node's own record at the
 	// assigned incarnation; Apply's self path adopts it, so a rejoin
 	// immediately gossips above its old death record.
@@ -366,9 +284,8 @@ func JoinNode(ctx context.Context, self NodeInfo, seedAddr string, opts JoinOpti
 		}
 	}
 	n.applyDeltas(jr.Placement)
-	n.initTrees()
 	n.trace.Add("join", "joined via seed %s", seedAddr)
-	if err := tr.Serve(listenAddr(self), n.handle); err != nil {
+	if err := n.serve(); err != nil {
 		return nil, err
 	}
 	return n, nil

@@ -73,10 +73,10 @@ func TestJoinNodeEndToEnd(t *testing.T) {
 		}
 	}
 
-	joiner, err := JoinNode(ctx, NodeInfo{
+	joiner, err := JoinNode(ctx, Config{Nodes: []NodeInfo{{
 		Name: "n3", Addr: "mem-n3", LocPath: "eu/c9/dc1/r0/k0/s9",
 		Confidence: 1, MonthlyRent: 10, Capacity: 1 << 30, QueryCapacity: 1000,
-	}, "mem-n0", JoinOptions{TransferChunkItems: 8, TransferBytesPerSec: 64 << 20}, nodes[0].tr, store.NewMemory())
+	}}, TransferChunkItems: 8, TransferBytesPerSec: 64 << 20}, "mem-n0", nodes[0].tr, store.NewMemory())
 	if err != nil {
 		t.Fatalf("JoinNode: %v", err)
 	}
@@ -349,10 +349,10 @@ func TestPullPartitionChunkedResume(t *testing.T) {
 	donorAddr := "mem-" + reps[0]
 
 	flaky := &flakyTransport{Transport: nodes[0].tr, failAt: 2}
-	joiner, err := JoinNode(ctx, NodeInfo{
+	joiner, err := JoinNode(ctx, Config{Nodes: []NodeInfo{{
 		Name: "n3", Addr: "mem-n3", LocPath: "eu/c9/dc1/r0/k0/s9",
 		Confidence: 1, MonthlyRent: 10, Capacity: 1 << 30, QueryCapacity: 1000,
-	}, "mem-n0", JoinOptions{TransferChunkItems: 16}, flaky, store.NewMemory())
+	}}, TransferChunkItems: 16}, "mem-n0", flaky, store.NewMemory())
 	if err != nil {
 		t.Fatalf("JoinNode: %v", err)
 	}
@@ -459,10 +459,10 @@ func BenchmarkJoinTransfer(b *testing.B) {
 		b.Fatal(err)
 	}
 	donorAddr := "mem-" + reps[0]
-	joiner, err := JoinNode(ctx, NodeInfo{
+	joiner, err := JoinNode(ctx, Config{Nodes: []NodeInfo{{
 		Name: "n3", Addr: "mem-n3", LocPath: "eu/c9/dc1/r0/k0/s9",
 		Confidence: 1, MonthlyRent: 10, Capacity: 1 << 30, QueryCapacity: 1000,
-	}, "mem-n0", JoinOptions{TransferChunkItems: 64}, mesh, store.NewMemory())
+	}}, TransferChunkItems: 64}, "mem-n0", mesh, store.NewMemory())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -278,16 +278,17 @@ type Node struct {
 	xmu        sync.Mutex
 	resume     map[string]string
 
-	// counters are the control-plane observability counters; RegisterMetrics
-	// exposes them on a metrics.Registry.
+	// counters are the control-plane observability counters; the
+	// constructor registers them on tel.
 	counters ControlCounters
 
 	// trace is the bounded control-plane decision ring served on the
 	// admin endpoint's GET /trace (see trace.go).
 	trace *TraceRing
 
-	// tel is the latency registry (GET /metrics); opTel caches the
-	// coordinator per-op histograms off the registry lock (telemetry.go).
+	// tel is the node's one instrument registry (GET /metrics): latency
+	// histograms and counter gauges. opTel caches the coordinator per-op
+	// histograms off the registry lock (telemetry.go).
 	tel   *telemetry.Registry
 	opTel *opHists
 
@@ -384,21 +385,47 @@ func NewNode(cfg Config, name string, tr transport.Transport, eng *store.Engine)
 			pmap.Seed(rid, p.ID, names)
 		}
 	}
+	n := newNode(cfg, selfI, rings, specs, pmap, int64(selfI)+1, tr, eng)
+	// Descriptor peers start in probation — known but unconfirmed — until
+	// the first successful heartbeat exchange; a listed peer that never
+	// answers ages into suspicion and death without ever having counted
+	// as alive. (This replaces the old optimistic bootstrap that presumed
+	// every listed peer up.)
+	now := n.Now()
+	for i, p := range cfg.Nodes {
+		if i != selfI {
+			n.mt.SeedPeer(memberInfoOf(p), now)
+		}
+	}
+	if err := n.serve(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// newNode assembles a node around its ring layout and placement map: the
+// one constructor the descriptor boot (NewNode) and the join
+// (JoinNode) share. cfg.Nodes[selfI] is the node itself; the other
+// entries are descriptor peers, whose probation the caller seeds. The
+// node does not serve until serve runs, after its placement is known.
+func newNode(cfg Config, selfI int, rings *ring.MultiRing, specs map[ring.RingID]RingSpec,
+	pmap *placement.Map, rngSeed int64, tr transport.Transport, eng *store.Engine) *Node {
+	self := cfg.Nodes[selfI]
 	suspect := cfg.SuspectAfter
-	if suspect == 0 {
+	if suspect <= 0 {
 		suspect = 10 * time.Second
 	}
 	dead := cfg.DeadAfter
-	if dead == 0 {
+	if dead <= 0 {
 		dead = 3 * suspect
 	}
 	n := &Node{
 		cfg:          cfg,
-		self:         cfg.Nodes[selfI],
+		self:         self,
 		selfI:        selfI,
 		tr:           tr,
 		eng:          eng,
-		mt:           membership.New(memberInfoOf(cfg.Nodes[selfI]), suspect, dead),
+		mt:           membership.New(memberInfoOf(self), suspect, dead),
 		suspectAfter: suspect,
 		deadAfter:    dead,
 		Now:          time.Now,
@@ -413,8 +440,8 @@ func NewNode(cfg Config, name string, tr transport.Transport, eng *store.Engine)
 		specs:        specs,
 		ledgers:      make(map[string]*ledgerState),
 		queries:      make(map[string]float64),
-		rng:          rand.New(rand.NewSource(int64(selfI) + 1)),
-		trace:        NewTraceRing(cfg.Nodes[selfI].Name, cfg.TraceEvents),
+		rng:          rand.New(rand.NewSource(rngSeed)),
+		trace:        NewTraceRing(self.Name, cfg.TraceEvents),
 		tel:          telemetry.NewRegistry(),
 	}
 	n.opTel = &opHists{reg: n.tel}
@@ -424,10 +451,12 @@ func NewNode(cfg Config, name string, tr transport.Transport, eng *store.Engine)
 	n.initResilience(cfg)
 	n.rcache = newReadCache(cfg.ReadCacheEntries, cfg.ReadCacheTTL)
 	n.hedge = newHedgeTracker(n.tel.Histogram("cluster_read_rtt_ns"))
+	n.registerCounters()
 	// The boot instant counts as contact: a freshly started node serves
 	// lease reads until the suspicion window passes without hearing from
 	// any peer (matching how descriptor peers get that same grace before
-	// aging into suspicion).
+	// aging into suspicion, and how a joiner's answered join RPC is
+	// contact evidence).
 	n.lastContact.Store(n.Now().UnixNano())
 	// Seed the write dot past every own entry in the recovered store: a
 	// restarted coordinator whose counter restarted below its stored
@@ -436,34 +465,27 @@ func NewNode(cfg Config, name string, tr transport.Transport, eng *store.Engine)
 	seed := uint64(0)
 	for _, sk := range eng.Keys() {
 		for _, v := range eng.Get(sk) {
-			if own := v.Clock.Get(name); own > seed {
+			if own := v.Clock.Get(self.Name); own > seed {
 				seed = own
 			}
 		}
 	}
 	n.dot.Store(seed)
-	// The registry mirrors descriptor order, so the ServerIDs baked into
-	// the bootstrap layout stay valid; members learned later (joiners)
-	// get the next free IDs via registerName.
+	// The registry mirrors cfg.Nodes order, so the ServerIDs baked into
+	// the bootstrap layout stay valid (a joiner's own entry is ServerID 0
+	// == selfI); members learned later get the next free IDs via
+	// registerName.
 	for _, p := range cfg.Nodes {
 		n.registerName(p.Name)
 	}
-	// Descriptor peers start in probation — known but unconfirmed — until
-	// the first successful heartbeat exchange; a listed peer that never
-	// answers ages into suspicion and death without ever having counted
-	// as alive. (This replaces the old optimistic bootstrap that presumed
-	// every listed peer up.)
-	now := n.Now()
-	for i, p := range cfg.Nodes {
-		if i != selfI {
-			n.mt.SeedPeer(memberInfoOf(p), now)
-		}
-	}
+	return n
+}
+
+// serve builds the Merkle trees of the partitions the node hosts — its
+// placement is known by now — and starts answering requests.
+func (n *Node) serve() error {
 	n.initTrees()
-	if err := tr.Serve(listenAddr(n.self), n.handle); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return n.tr.Serve(listenAddr(n.self), n.handle)
 }
 
 // listenAddr is the address a node binds: the optional Bind override,
@@ -597,9 +619,8 @@ func (n *Node) SendHeartbeats(ctx context.Context) {
 }
 
 // initResilience builds the node's admission gate and per-peer circuit
-// breakers from the overload knobs of its config. NewNode and JoinNode
-// both run it — a joiner faces the same saturation a descriptor-booted
-// node does.
+// breakers from the overload knobs of its config — a joiner faces the
+// same saturation a descriptor-booted node does.
 func (n *Node) initResilience(cfg Config) {
 	if !cfg.DisableAdmission {
 		maxInflight := cfg.MaxInflight

@@ -159,10 +159,10 @@ func TestRentJoinerCandidate(t *testing.T) {
 	_, nodes, _ := cheapN3Cluster(t)
 	rent := economy.DefaultRentParams()
 	announceAll(t, nodes, rent)
-	joiner, err := JoinNode(ctx, NodeInfo{
+	joiner, err := JoinNode(ctx, Config{Nodes: []NodeInfo{{
 		Name: "n6", Addr: "mem-n6", LocPath: "eu/c9/dc1/r0/k0/s9",
 		Confidence: 1, MonthlyRent: 100, Capacity: 1 << 30, QueryCapacity: 1000,
-	}, "mem-n3", JoinOptions{}, nodes[0].tr, store.NewMemory())
+	}}}, "mem-n3", nodes[0].tr, store.NewMemory())
 	if err != nil {
 		t.Fatalf("JoinNode: %v", err)
 	}

@@ -65,7 +65,8 @@ func (t *opHists) hist(op int, c Consistency) *telemetry.Histogram {
 	return h
 }
 
-// Telemetry exposes the node's latency registry: the coordinator per-op
-// histograms record here, and cmd/skuted attaches the transport RTT and
-// WAL fsync histograms before serving the whole set on GET /metrics.
+// Telemetry exposes the node's one instrument registry: the coordinator
+// per-op histograms record here and the control counters are registered
+// here, and cmd/skuted adds the transport's and the store's instruments
+// before serving the whole set on GET /metrics.
 func (n *Node) Telemetry() *telemetry.Registry { return n.tel }

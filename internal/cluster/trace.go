@@ -42,7 +42,6 @@ type TraceRing struct {
 	buf  []TraceEvent
 	next int
 	full bool
-	seen uint64
 }
 
 // NewTraceRing returns a ring stamped with the node name; capacity <= 0
@@ -67,7 +66,6 @@ func (r *TraceRing) Add(kind, format string, args ...any) {
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
 	}
-	r.seen++
 	r.mu.Unlock()
 }
 
@@ -84,20 +82,6 @@ func (r *TraceRing) Events() []TraceEvent {
 	}
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Dropped reports how many events the ring has overwritten.
-func (r *TraceRing) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	retained := uint64(r.next)
-	if r.full {
-		retained = uint64(len(r.buf))
-	}
-	return r.seen - retained
 }
 
 // Trace exposes the node's decision-trace ring.

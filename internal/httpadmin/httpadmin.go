@@ -3,21 +3,18 @@
 //
 //	GET /healthz   liveness probe, 200 "ok"
 //	GET /stats     full JSON snapshot (storage, membership, per-ring SLA)
-//	GET /counters  live operational counters from a metrics.Registry:
-//	               durability (WAL appends and fsyncs, checkpoints
-//	               taken, recovery replay sizes) and control plane
-//	               (epoch decisions, placement deltas applied vs.
-//	               rejected-stale, gossip reconcile rounds)
 //	GET /trace     the node's bounded control-plane decision trace as a
 //	               JSON array, oldest first — the scenario harness
 //	               scrapes and correlates it across nodes on failure
-//	GET /metrics   latency histograms (transport RTT, coordinator per-op
-//	               per-consistency, WAL fsync) from a telemetry.Registry;
-//	               JSON by default, aligned plain text with
-//	               ?format=text or an Accept: text/plain header
+//	GET /metrics   every instrument of the node's telemetry.Registry:
+//	               latency histograms (transport RTT, coordinator per-op
+//	               per-consistency, admission service time, WAL fsync)
+//	               and counters (durability, wire pool, control plane,
+//	               read path, admission); JSON by default, aligned plain
+//	               text with ?format=text or an Accept: text/plain header
 //
-// cmd/skuted mounts it behind the -admin flag. The package deliberately
-// depends on interfaces, not cluster types, so tests can fake the node.
+// cmd/skuted mounts it behind the -admin flag. The package takes plain
+// functions, not cluster types, so tests can fake the node.
 package httpadmin
 
 import (
@@ -25,59 +22,26 @@ import (
 	"net/http"
 	"strings"
 
-	"skute/internal/metrics"
 	"skute/internal/telemetry"
 )
 
-// StatsSource abstracts the node so the package does not import cluster
-// types directly (and tests can fake it).
-type StatsSource interface {
-	// Stats returns any JSON-encodable snapshot.
-	Stats() any
-}
-
-// StatsFunc adapts a function to StatsSource.
-type StatsFunc func() any
-
-// Stats implements StatsSource.
-func (f StatsFunc) Stats() any { return f() }
-
-// TraceSource yields the node's decision-trace events (any JSON-encodable
-// slice). A nil source serves an empty array.
-type TraceSource interface {
-	TraceEvents() any
-}
-
-// TraceFunc adapts a function to TraceSource.
-type TraceFunc func() any
-
-// TraceEvents implements TraceSource.
-func (f TraceFunc) TraceEvents() any { return f() }
-
-// Handler returns the admin mux. reg may be nil, in which case /counters
-// serves an empty object; trace may be nil, in which case /trace serves
-// an empty array; tel may be nil, in which case /metrics serves an empty
-// snapshot.
-func Handler(src StatsSource, reg *metrics.Registry, trace TraceSource, tel *telemetry.Registry) http.Handler {
+// Handler returns the admin mux. stats yields the /stats snapshot and
+// trace the /trace events (any JSON-encodable values). trace may be nil,
+// in which case /trace serves an empty array; reg may be nil, in which
+// case /metrics serves an empty snapshot.
+func Handler(stats, trace func() any, reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, src.Stats())
-	})
-	mux.HandleFunc("GET /counters", func(w http.ResponseWriter, r *http.Request) {
-		snap := map[string]int64{}
-		if reg != nil {
-			snap = reg.Snapshot()
-		}
-		writeJSON(w, snap)
+		writeJSON(w, stats())
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		var evs any
 		if trace != nil {
-			evs = trace.TraceEvents()
+			evs = trace()
 		}
 		if evs == nil {
 			evs = []struct{}{}
@@ -85,9 +49,9 @@ func Handler(src StatsSource, reg *metrics.Registry, trace TraceSource, tel *tel
 		writeJSON(w, evs)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		var snap telemetry.SnapshotStats
-		if tel != nil {
-			snap = tel.Snapshot()
+		snap := telemetry.SnapshotStats{Counters: map[string]int64{}}
+		if reg != nil {
+			snap = reg.Snapshot()
 		}
 		if r.URL.Query().Get("format") == "text" ||
 			strings.HasPrefix(r.Header.Get("Accept"), "text/plain") {
@@ -110,11 +74,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Serve starts the admin endpoint on addr in a goroutine and returns the
-// server for shutdown. Errors after startup are delivered to errs if
-// non-nil.
-func Serve(addr string, src StatsSource, reg *metrics.Registry, trace TraceSource, tel *telemetry.Registry, errs chan<- error) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: Handler(src, reg, trace, tel)}
+// Serve starts the admin mux h (see Handler) on addr in a goroutine and
+// returns the server for shutdown. Errors after startup are delivered to
+// errs if non-nil.
+func Serve(addr string, h http.Handler, errs chan<- error) *http.Server {
+	srv := &http.Server{Addr: addr, Handler: h}
 	go func() {
 		err := srv.ListenAndServe()
 		if err != nil && err != http.ErrServerClosed && errs != nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"skute/internal/metrics"
 	"skute/internal/telemetry"
 )
 
@@ -18,20 +17,49 @@ type snapshot struct {
 	Keys int
 }
 
+func statsOne() any { return 1 }
+
 func testHandler() http.Handler {
-	reg := metrics.NewRegistry()
-	reg.Counter("checkpoints_total").Add(3)
+	reg := telemetry.NewRegistry()
+	var checkpoints telemetry.Counter
+	checkpoints.Add(3)
+	reg.Gauge("checkpoints_total", checkpoints.Value)
 	reg.Gauge("wal_segments", func() int64 { return 2 })
-	trace := TraceFunc(func() any {
+	trace := func() any {
 		return []map[string]string{{"node": "n0", "kind": "epoch", "detail": "repairs=1"}}
-	})
-	tel := telemetry.NewRegistry()
-	h := tel.Histogram("cluster_get_default_ns")
+	}
+	h := reg.Histogram("cluster_get_default_ns")
 	for i := 1; i <= 100; i++ {
 		h.Record(int64(i) * int64(time.Millisecond))
 	}
-	tel.Counter("load_errors_total").Add(1)
-	return Handler(StatsFunc(func() any { return snapshot{Name: "n0", Keys: 42} }), reg, trace, tel)
+	reg.Gauge("load_errors_total", func() int64 { return 1 })
+	return Handler(func() any { return snapshot{Name: "n0", Keys: 42} }, trace, reg)
+}
+
+// metricsJSON is the JSON shape of GET /metrics.
+type metricsJSON struct {
+	Histograms map[string]telemetry.Stats `json:"histograms"`
+	Counters   map[string]int64           `json:"counters"`
+}
+
+func getMetrics(t *testing.T, url string) metricsJSON {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type = %q", ct)
+	}
+	var got metricsJSON
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestHealthz(t *testing.T) {
@@ -90,20 +118,23 @@ func TestUnknownPathAndMethod(t *testing.T) {
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /stats status = %d", post.StatusCode)
 	}
-}
-
-func TestCounters(t *testing.T) {
-	srv := httptest.NewServer(testHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/counters")
+	// Counters are served on /metrics; the old /counters path is gone.
+	gone, err := http.Get(srv.URL + "/counters")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var got map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /counters status = %d", gone.StatusCode)
 	}
+}
+
+// TestCounters: counters and gauges registered on the one registry are
+// sampled live on GET /metrics, next to the histograms.
+func TestCounters(t *testing.T) {
+	srv := httptest.NewServer(testHandler())
+	defer srv.Close()
+	got := getMetrics(t, srv.URL).Counters
 	if got["checkpoints_total"] != 3 || got["wal_segments"] != 2 {
 		t.Errorf("counters = %v", got)
 	}
@@ -129,21 +160,7 @@ func TestTrace(t *testing.T) {
 func TestMetricsJSON(t *testing.T) {
 	srv := httptest.NewServer(testHandler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type = %q", ct)
-	}
-	var got struct {
-		Histograms map[string]telemetry.Stats `json:"histograms"`
-		Counters   map[string]int64           `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	got := getMetrics(t, srv.URL)
 	st, ok := got.Histograms["cluster_get_default_ns"]
 	if !ok {
 		t.Fatalf("histogram missing: %v", got.Histograms)
@@ -168,26 +185,23 @@ func TestMetricsText(t *testing.T) {
 		t.Errorf("content type = %q", ct)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "cluster_get_default_ns") || !strings.Contains(string(body), "p99=") {
-		t.Errorf("text body = %q", body)
+	for _, want := range []string{"cluster_get_default_ns", "p99=", "checkpoints_total"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("text body lacks %q: %q", want, body)
+		}
 	}
 }
 
 func TestMetricsNilRegistry(t *testing.T) {
-	srv := httptest.NewServer(Handler(StatsFunc(func() any { return 1 }), nil, nil, nil))
+	srv := httptest.NewServer(Handler(statsOne, nil, nil))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status = %d", resp.StatusCode)
+	if got := getMetrics(t, srv.URL); len(got.Histograms) != 0 {
+		t.Errorf("nil registry histograms = %v", got.Histograms)
 	}
 }
 
 func TestTraceNilSource(t *testing.T) {
-	srv := httptest.NewServer(Handler(StatsFunc(func() any { return 1 }), nil, nil, nil))
+	srv := httptest.NewServer(Handler(statsOne, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/trace")
 	if err != nil {
@@ -203,26 +217,20 @@ func TestTraceNilSource(t *testing.T) {
 	}
 }
 
+// TestCountersNilRegistry: without a registry, /metrics serves an empty
+// counters object rather than null.
 func TestCountersNilRegistry(t *testing.T) {
-	srv := httptest.NewServer(Handler(StatsFunc(func() any { return 1 }), nil, nil, nil))
+	srv := httptest.NewServer(Handler(statsOne, nil, nil))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/counters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("nil registry counters = %v", got)
+	got := getMetrics(t, srv.URL)
+	if got.Counters == nil || len(got.Counters) != 0 {
+		t.Errorf("nil registry counters = %v", got.Counters)
 	}
 }
 
 func TestServeLifecycle(t *testing.T) {
 	errs := make(chan error, 1)
-	srv := Serve("127.0.0.1:0", StatsFunc(func() any { return 1 }), nil, nil, nil, errs)
+	srv := Serve("127.0.0.1:0", Handler(statsOne, nil, nil), errs)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

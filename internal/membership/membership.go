@@ -235,19 +235,6 @@ func New(self Info, suspectAfter, deadAfter time.Duration) *Table {
 	return t
 }
 
-// SetTimeouts adjusts the suspicion windows (a joiner adopts the
-// cluster's values from the join response).
-func (t *Table) SetTimeouts(suspectAfter, deadAfter time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if suspectAfter > 0 {
-		t.suspectAfter = suspectAfter
-	}
-	if deadAfter > 0 {
-		t.deadAfter = deadAfter
-	}
-}
-
 // SetManual turns the clock-driven failure detector off (manual) or
 // back on. Turning it on restarts every member's silence window at now,
 // so time spent in manual mode never counts as silence.

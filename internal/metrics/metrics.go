@@ -1,13 +1,7 @@
-// Package metrics provides the observability toolkit of the repository,
-// two halves with distinct consumers:
-//
-//   - Series, Summary and Table: the time-series and summary-statistics
-//     types the simulator and experiment drivers use to capture and render
-//     the series behind each figure of the paper (see EXPERIMENTS.md).
-//   - Counter, Gauge and Registry: the live operational counters a running
-//     node exports — cmd/skuted registers its WAL, checkpoint and recovery
-//     counters here and internal/httpadmin serves the registry's snapshot
-//     as JSON on GET /counters.
+// Package metrics holds the time-series and summary-statistics types the
+// simulator and experiment drivers use to capture and render the series
+// behind each figure of the paper (see EXPERIMENTS.md): Series, Summary
+// and Table. A running node's live instruments are internal/telemetry's.
 package metrics
 
 import (
@@ -15,104 +9,7 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
-
-// Counter is a cumulative int64 metric, safe for concurrent use.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Set overwrites the counter — for mirrored values maintained elsewhere.
-func (c *Counter) Set(v int64) { c.v.Store(v) }
-
-// Value returns the current value.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Registry is a named collection of counters and gauges, snapshotted as a
-// whole by the admin endpoint. The zero value is not usable; call
-// NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	names    []string // insertion order, for stable rendering
-	counters map[string]*Counter
-	gauges   map[string]func() int64
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() int64),
-	}
-}
-
-// Counter returns (creating on first use) the counter with the name.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	if _, isGauge := r.gauges[name]; !isGauge {
-		r.names = append(r.names, name)
-	}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge registers a function sampled at every Snapshot — the natural fit
-// for values owned by another subsystem (engine byte counts, WAL segment
-// counts). Registering a name twice replaces the function.
-func (r *Registry) Gauge(name string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, seen := r.gauges[name]; !seen {
-		if _, isCounter := r.counters[name]; !isCounter {
-			r.names = append(r.names, name)
-		}
-	}
-	r.gauges[name] = fn
-}
-
-// Names returns the registered metric names in insertion order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.names...)
-}
-
-// Snapshot samples every counter and gauge. Gauge functions run without
-// the registry lock held, so they may themselves take locks.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]func() int64, len(r.gauges))
-	for n, fn := range r.gauges {
-		gauges[n] = fn
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]int64, len(counters)+len(gauges))
-	for n, c := range counters {
-		out[n] = c.Value()
-	}
-	for n, fn := range gauges {
-		out[n] = fn()
-	}
-	return out
-}
 
 // Series is a named sequence of float64 samples indexed by epoch. Appends
 // must be in epoch order; gaps are not supported because the simulator
@@ -138,21 +35,6 @@ func (s *Series) Last() float64 {
 		return 0
 	}
 	return s.Values[len(s.Values)-1]
-}
-
-// Window returns the samples in [from, to), clamped to the available
-// range.
-func (s *Series) Window(from, to int) []float64 {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.Values) {
-		to = len(s.Values)
-	}
-	if from >= to {
-		return nil
-	}
-	return s.Values[from:to]
 }
 
 // Summary holds the usual descriptive statistics of a sample.
@@ -230,15 +112,6 @@ func (t *Table) Series(name string) *Series {
 	t.series = append(t.series, s)
 	t.byName[name] = s
 	return s
-}
-
-// Names returns the series names in insertion order.
-func (t *Table) Names() []string {
-	out := make([]string, len(t.series))
-	for i, s := range t.series {
-		out[i] = s.Name
-	}
-	return out
 }
 
 // Rows returns the maximum series length.

@@ -19,19 +19,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestSeriesWindow(t *testing.T) {
-	s := Series{Values: []float64{0, 1, 2, 3, 4}}
-	if got := s.Window(1, 3); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("Window(1,3) = %v", got)
-	}
-	if got := s.Window(-5, 100); len(got) != 5 {
-		t.Errorf("clamped window = %v", got)
-	}
-	if got := s.Window(4, 2); got != nil {
-		t.Errorf("inverted window = %v, want nil", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || s.Mean != 5 {
@@ -75,9 +62,8 @@ func TestTableSeriesIdentityAndOrder(t *testing.T) {
 	a.Add(1)
 	b.Add(2)
 	b.Add(3)
-	names := tab.Names()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Errorf("Names = %v", names)
+	if csv := tab.CSV(); !strings.HasPrefix(csv, "epoch,alpha,beta\n") {
+		t.Errorf("series order: CSV header of %q", csv)
 	}
 	if tab.Rows() != 2 {
 		t.Errorf("Rows = %d", tab.Rows())
@@ -116,33 +102,5 @@ func TestTableRender(t *testing.T) {
 	// every < 1 falls back to printing everything.
 	if n := len(strings.Split(strings.TrimSpace(tab.Render(0)), "\n")); n != 11 {
 		t.Errorf("Render(0) lines = %d, want 11", n)
-	}
-}
-
-func TestRegistryCountersAndGauges(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("writes_total")
-	c.Inc()
-	c.Add(4)
-	if r.Counter("writes_total") != c {
-		t.Error("Counter did not return the existing counter")
-	}
-	live := int64(7)
-	r.Gauge("live_value", func() int64 { return live })
-	snap := r.Snapshot()
-	if snap["writes_total"] != 5 || snap["live_value"] != 7 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	live = 9
-	if r.Snapshot()["live_value"] != 9 {
-		t.Error("gauge not sampled live")
-	}
-	c.Set(100)
-	if r.Snapshot()["writes_total"] != 100 {
-		t.Error("Set not visible")
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "writes_total" || names[1] != "live_value" {
-		t.Errorf("names = %v", names)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skute/internal/metrics"
 	"skute/internal/telemetry"
 )
 
@@ -83,9 +82,9 @@ type Gate struct {
 	est   [numPriorities]atomic.Int64 // cached p50 service ns
 	estAt [numPriorities]atomic.Int64 // unixnano of last estimate refresh
 
-	admitted [numPriorities]metrics.Counter
-	shed     [numPriorities]metrics.Counter
-	shedLate metrics.Counter // deadline-aware rejections (subset of shed)
+	admitted [numPriorities]telemetry.Counter
+	shed     [numPriorities]telemetry.Counter
+	shedLate telemetry.Counter // deadline-aware rejections (subset of shed)
 }
 
 // NewGate builds a gate admitting at most maxInflight concurrent

@@ -64,16 +64,6 @@ func (mr *MultiRing) IDs() []RingID {
 	return ids
 }
 
-// Rings returns all rings in the order of IDs().
-func (mr *MultiRing) Rings() []*Ring {
-	ids := mr.IDs()
-	rs := make([]*Ring, len(ids))
-	for i, id := range ids {
-		rs[i] = mr.rings[id]
-	}
-	return rs
-}
-
 // TotalPartitions sums the partition counts of every ring.
 func (mr *MultiRing) TotalPartitions() int {
 	n := 0

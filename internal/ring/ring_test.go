@@ -286,9 +286,6 @@ func TestMultiRing(t *testing.T) {
 	if mr.Ring(RingID{App: "nope", Class: "x"}) != nil {
 		t.Error("Ring of unknown id != nil")
 	}
-	if len(mr.Rings()) != 3 {
-		t.Error("Rings() length mismatch")
-	}
 	if ids[0].String() != "app1/silver" {
 		t.Errorf("RingID.String = %q", ids[0].String())
 	}

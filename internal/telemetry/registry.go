@@ -5,28 +5,46 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"skute/internal/metrics"
+	"sync/atomic"
 )
 
-// Registry names the histograms and counters one process exports on
-// GET /metrics. Subsystems either create histograms through
-// Histogram(name) or attach ones they already own through Register —
-// both hand out the same *Histogram forever after, so hot paths resolve
-// their histogram once and record through the pointer, never through the
-// registry lock. The zero value is not usable; call NewRegistry.
+// Counter is a cumulative int64 metric, safe for concurrent use. Its
+// owner increments it on the hot path and registers its Value on a
+// Registry as a gauge.
+type Counter struct {
+	v atomic.Int64
+}
+
+// Add increments the counter by d.
+func (c *Counter) Add(d int64) { c.v.Add(d) }
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Value returns the current value.
+func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Registry names every instrument one process exports on GET /metrics:
+// latency histograms and integer gauges. Subsystems either create
+// histograms through Histogram(name) or attach ones they already own
+// through Register — both hand out the same *Histogram forever after, so
+// hot paths resolve their histogram once and record through the pointer,
+// never through the registry lock. Counters and values owned elsewhere
+// (engine byte counts, WAL segment counts) join as gauges: a function
+// sampled at every Snapshot. The zero value is not usable; call
+// NewRegistry.
 type Registry struct {
-	mu       sync.RWMutex
-	names    []string // insertion order, for stable rendering
-	hists    map[string]*Histogram
-	counters map[string]*metrics.Counter
+	mu     sync.RWMutex
+	names  []string // histogram insertion order, for stable rendering
+	hists  map[string]*Histogram
+	gauges map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:    make(map[string]*Histogram),
-		counters: make(map[string]*metrics.Counter),
+		hists:  make(map[string]*Histogram),
+		gauges: make(map[string]func() int64),
 	}
 }
 
@@ -55,19 +73,13 @@ func (r *Registry) Register(name string, h *Histogram) {
 	r.hists[name] = h
 }
 
-// Counter returns (creating on first use) the counter with the name.
-// Counters share the metrics package's type so existing instruments plug
-// in unchanged.
-func (r *Registry) Counter(name string) *metrics.Counter {
+// Gauge registers a function sampled at every Snapshot — a counter's
+// Value, or a value another subsystem owns. Registering a name twice
+// replaces the function.
+func (r *Registry) Gauge(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &metrics.Counter{}
-	r.counters[name] = c
-	r.names = append(r.names, name)
-	return c
+	r.gauges[name] = fn
 }
 
 // HistogramStats is one named histogram's quantile set in a snapshot.
@@ -76,35 +88,36 @@ type HistogramStats struct {
 	Stats
 }
 
-// SnapshotStats captures every registered histogram's stats and counter
-// value, in registration order — the payload of GET /metrics.
+// SnapshotStats captures every registered histogram's stats, in
+// registration order, and every gauge's value — the payload of
+// GET /metrics.
 type SnapshotStats struct {
 	Histograms []HistogramStats
 	Counters   map[string]int64
 }
 
-// Snapshot captures the stats of every registered instrument.
+// Snapshot captures the stats of every registered instrument. Gauge
+// functions run without the registry lock held, so they may themselves
+// take locks.
 func (r *Registry) Snapshot() SnapshotStats {
 	r.mu.RLock()
-	names := append([]string(nil), r.names...)
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
+	hists := make([]*Histogram, len(r.names))
+	for i, n := range r.names {
+		hists[i] = r.hists[n]
 	}
-	counters := make(map[string]*metrics.Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
+	names := append([]string(nil), r.names...)
+	gauges := make(map[string]func() int64, len(r.gauges))
+	for n, fn := range r.gauges {
+		gauges[n] = fn
 	}
 	r.mu.RUnlock()
 
-	out := SnapshotStats{Counters: make(map[string]int64, len(counters))}
-	for _, n := range names {
-		if h, ok := hists[n]; ok {
-			out.Histograms = append(out.Histograms, HistogramStats{Name: n, Stats: h.Snapshot().Stats()})
-		}
-		if c, ok := counters[n]; ok {
-			out.Counters[n] = c.Value()
-		}
+	out := SnapshotStats{Counters: make(map[string]int64, len(gauges))}
+	for i, n := range names {
+		out.Histograms = append(out.Histograms, HistogramStats{Name: n, Stats: hists[i].Snapshot().Stats()})
+	}
+	for n, fn := range gauges {
+		out.Counters[n] = fn()
 	}
 	return out
 }

@@ -15,7 +15,9 @@ func TestRegistryCreateAndRegister(t *testing.T) {
 	own := NewHistogram()
 	own.Record(42)
 	r.Register("op_b_ns", own)
-	r.Counter("errs_total").Add(3)
+	var errs Counter
+	errs.Add(3)
+	r.Gauge("errs_total", errs.Value)
 	h1.Record(1000)
 
 	s := r.Snapshot()
@@ -37,7 +39,7 @@ func TestRegistryCreateAndRegister(t *testing.T) {
 func TestSnapshotRenderings(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("get_ns").Record(1500)
-	r.Counter("ops_total").Inc()
+	r.Gauge("ops_total", func() int64 { return 1 })
 	s := r.Snapshot()
 
 	raw, err := json.Marshal(s.JSON())
@@ -68,5 +70,43 @@ func TestSnapshotRenderings(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text rendering missing %q:\n%s", want, text)
 		}
+	}
+}
+
+func TestRegistryCountersAndGauges(t *testing.T) {
+	r := NewRegistry()
+	var c Counter
+	c.Inc()
+	c.Add(4)
+	r.Gauge("writes_total", c.Value)
+	live := int64(7)
+	r.Gauge("live_value", func() int64 { return live })
+	snap := r.Snapshot().Counters
+	if snap["writes_total"] != 5 || snap["live_value"] != 7 {
+		t.Errorf("snapshot = %v", snap)
+	}
+	live = 9
+	c.Inc()
+	snap = r.Snapshot().Counters
+	if snap["live_value"] != 9 || snap["writes_total"] != 6 {
+		t.Errorf("gauges not sampled live: %v", snap)
+	}
+	r.Gauge("live_value", func() int64 { return -1 })
+	if snap := r.Snapshot(); snap.Counters["live_value"] != -1 || len(snap.Counters) != 2 {
+		t.Errorf("re-registered gauge: %v", snap.Counters)
+	}
+}
+
+// TestGaugeRunsUnlocked: a gauge function may itself use the registry
+// (or any lock a registering subsystem holds) without deadlocking the
+// snapshot that samples it.
+func TestGaugeRunsUnlocked(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("hists", func() int64 {
+		r.Histogram("made_by_gauge_ns")
+		return 1
+	})
+	if got := r.Snapshot().Counters["hists"]; got != 1 {
+		t.Fatalf("gauge = %d, want 1", got)
 	}
 }

@@ -28,18 +28,3 @@ func Similarity(a, b Location) uint8 {
 func Diversity(a, b Location) int {
 	return int(^Similarity(a, b) & MaxDiversity)
 }
-
-// DiversityAtLevel returns the diversity of two servers that share labels
-// for every level strictly coarser than l and differ from l downwards —
-// the only diversity values that occur inside a hierarchical topology
-// (two servers differing at the rack also differ at the server, etc.):
-// Server -> 1, Rack -> 3, Room -> 7, Datacenter -> 15, Country -> 31,
-// Continent -> 63.
-func DiversityAtLevel(l Level) int {
-	// Levels l..Server differ: their bits are set in the diversity word.
-	var d int
-	for lv := l; lv <= Server; lv++ {
-		d |= int(lv.Bit())
-	}
-	return d
-}

@@ -58,22 +58,6 @@ func TestDiversityExtremes(t *testing.T) {
 	}
 }
 
-func TestDiversityAtLevel(t *testing.T) {
-	want := map[Level]int{
-		Continent:  63,
-		Country:    31,
-		Datacenter: 15,
-		Room:       7,
-		Rack:       3,
-		Server:     1,
-	}
-	for l, w := range want {
-		if got := DiversityAtLevel(l); got != w {
-			t.Errorf("DiversityAtLevel(%s) = %d, want %d", l, got, w)
-		}
-	}
-}
-
 func TestQualifiedHierarchy(t *testing.T) {
 	// Sibling subtrees reuse child names; qualification must keep them
 	// distinct at the deeper levels.

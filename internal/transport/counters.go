@@ -1,34 +1,31 @@
 package transport
 
-import (
-	"skute/internal/metrics"
-	"skute/internal/telemetry"
-)
+import "skute/internal/telemetry"
 
 // Counters are the wire-path observability counters of a TCP transport:
 // how the pool behaves (dials vs. reuses vs. evictions) and how much
-// traffic is in flight. cmd/skuted exposes them on GET /counters next
-// to the control-plane and durability counters.
+// traffic is in flight. Register exposes them on GET /metrics next to
+// the control-plane and durability counters.
 type Counters struct {
 	// Dials counts established outbound connections.
-	Dials metrics.Counter
+	Dials telemetry.Counter
 	// Reuses counts calls served by an already pooled connection — the
 	// dials the pool saved.
-	Reuses metrics.Counter
+	Reuses telemetry.Counter
 	// Evictions counts pooled connections dropped: broken mid-flight,
 	// idle-reaped, or evicted because their peer was declared dead.
-	Evictions metrics.Counter
+	Evictions telemetry.Counter
 	// InFlight is the current number of in-flight request frames across
 	// all pooled connections (incremented on send, decremented on
 	// response, abandonment or failure).
-	InFlight metrics.Counter
+	InFlight telemetry.Counter
 	// Retries counts calls re-sent after their pooled connection broke
 	// mid-exchange — each one paid a jittered backoff and a retry-budget
 	// token first.
-	Retries metrics.Counter
+	Retries telemetry.Counter
 	// RetriesDenied counts broken-connection failures that surfaced to
 	// the caller because the retry budget or deadline refused the retry.
-	RetriesDenied metrics.Counter
+	RetriesDenied telemetry.Counter
 }
 
 // Counters exposes the transport's wire counters.
@@ -49,19 +46,14 @@ func (t *TCP) PoolSize() int {
 // built with NewTCP).
 func (t *TCP) RTT() *telemetry.Histogram { return t.rtt }
 
-// RegisterTelemetry attaches the transport's latency histograms to a
-// telemetry registry; cmd/skuted serves them on GET /metrics.
-func (t *TCP) RegisterTelemetry(reg *telemetry.Registry) {
+// Register attaches the transport's RTT histogram and its wire counters
+// to a registry under stable names; cmd/skuted serves them on
+// GET /metrics.
+func (t *TCP) Register(reg *telemetry.Registry) {
 	if t.rtt == nil {
 		t.rtt = telemetry.NewHistogram()
 	}
 	reg.Register("transport_call_ns", t.rtt)
-}
-
-// RegisterMetrics registers the wire counters on the registry under
-// stable names, next to the durability and control-plane counters
-// cmd/skuted already exports.
-func (t *TCP) RegisterMetrics(reg *metrics.Registry) {
 	reg.Gauge("transport_dials_total", t.counters.Dials.Value)
 	reg.Gauge("transport_conn_reuses_total", t.counters.Reuses.Value)
 	reg.Gauge("transport_conn_evictions_total", t.counters.Evictions.Value)

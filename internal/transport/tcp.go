@@ -62,7 +62,7 @@ type TCP struct {
 	counters Counters
 	// rtt is the request-RTT histogram: every Call records its wall time
 	// (queueing in the pool, frame round trip, retries) regardless of
-	// outcome. RegisterTelemetry exposes it on GET /metrics.
+	// outcome. Register exposes it on GET /metrics.
 	rtt *telemetry.Histogram
 
 	mu          sync.Mutex

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"skute/internal/metrics"
+	"skute/internal/telemetry"
 )
 
 // TestTCPPoolReusesConnections: sequential calls to one address share a
@@ -41,17 +41,21 @@ func TestTCPPoolReusesConnections(t *testing.T) {
 		t.Errorf("pool size = %d, want 1", size)
 	}
 
-	// The counters register on a metrics.Registry under stable names
-	// (cmd/skuted exposes them on GET /counters).
-	reg := metrics.NewRegistry()
-	cli.RegisterMetrics(reg)
-	snap := reg.Snapshot()
+	// The counters register on a telemetry.Registry under stable names
+	// (cmd/skuted serves them on GET /metrics), next to the RTT histogram.
+	reg := telemetry.NewRegistry()
+	cli.Register(reg)
+	stats := reg.Snapshot()
+	snap := stats.Counters
 	if snap["transport_dials_total"] != 1 || snap["transport_conn_reuses_total"] != 49 ||
 		snap["transport_pool_conns"] != 1 || snap["transport_inflight_frames"] != 0 {
 		t.Errorf("registry snapshot = %v", snap)
 	}
 	if _, ok := snap["transport_conn_evictions_total"]; !ok {
 		t.Errorf("evictions counter missing from registry: %v", snap)
+	}
+	if len(stats.Histograms) != 1 || stats.Histograms[0].Name != "transport_call_ns" || stats.Histograms[0].Count != 50 {
+		t.Errorf("registry histograms = %+v", stats.Histograms)
 	}
 }
 

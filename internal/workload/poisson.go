@@ -48,22 +48,3 @@ func Interarrival(rng *rand.Rand, rate float64) time.Duration {
 	}
 	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
-
-// SplitPoisson draws per-class query counts for one epoch: the total load
-// is Poisson(lambda) split across classes proportionally to weights, which
-// is equivalent to independent Poisson draws with rates lambda*w_i. The
-// weights need not be normalized.
-func SplitPoisson(rng *rand.Rand, lambda float64, weights []float64) []int {
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	out := make([]int, len(weights))
-	if sum <= 0 || lambda <= 0 {
-		return out
-	}
-	for i, w := range weights {
-		out[i] = Poisson(rng, lambda*w/sum)
-	}
-	return out
-}

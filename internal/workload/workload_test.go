@@ -143,41 +143,6 @@ func TestPoissonEdgeCases(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSplitPoisson(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	weights := []float64{4, 2, 1}
-	var totals [3]float64
-	rounds := 2000
-	for i := 0; i < rounds; i++ {
-		qs := SplitPoisson(rng, 700, weights)
-		for j, q := range qs {
-			totals[j] += float64(q)
-		}
-	}
-	// Expect 4:2:1 split of 700 => 400/200/100 per round.
-	want := [3]float64{400, 200, 100}
-	for j := range totals {
-		got := totals[j] / float64(rounds)
-		if math.Abs(got-want[j]) > want[j]*0.05 {
-			t.Errorf("class %d mean %v, want ~%v", j, got, want[j])
-		}
-	}
-	// Degenerate inputs.
-	zero := SplitPoisson(rng, 0, weights)
-	for _, q := range zero {
-		if q != 0 {
-			t.Error("SplitPoisson with zero rate produced queries")
-		}
-	}
-	zw := SplitPoisson(rng, 100, []float64{0, 0})
-	for _, q := range zw {
-		if q != 0 {
-			t.Error("SplitPoisson with zero weights produced queries")
-		}
-	}
-}
-
 func TestConstantProfile(t *testing.T) {
 	p := Constant(3000)
 	for _, e := range []int{0, 1, 999} {

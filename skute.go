@@ -296,7 +296,7 @@ func (c *Cluster) AddServer(ctx context.Context, s Server, seed string) error {
 		Capacity:      capacity,
 		QueryCapacity: qcap,
 	}
-	n, err := cluster.JoinNode(ctx, ni, "mem://"+seed, cluster.JoinOptions{}, c.mesh, store.NewMemory())
+	n, err := cluster.JoinNode(ctx, cluster.Config{Nodes: []cluster.NodeInfo{ni}}, "mem://"+seed, c.mesh, store.NewMemory())
 	if err != nil {
 		return err
 	}
